@@ -10,7 +10,7 @@
 #include "core/mis.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/runtime.hpp"
 
 namespace dvc {
 
@@ -59,13 +59,6 @@ struct Knobs {
   /// program. Metering itself is always on (RunStats/PhaseLog bandwidth
   /// counters); the budget only adds enforcement.
   int congest_words = 0;
-  /// Executor choice for the pipeline's simulated phases. kSession (the
-  /// default) keeps the session's scheduler -- sparse on a fresh session.
-  /// kSparse forces the live-list O(live + messages) executor, kDense the
-  /// legacy full-sweep baseline; results are bit-identical either way
-  /// (colors, RunStats, PhaseLog), only wall-clock differs. Used for A/B
-  /// verification and the scheduler benchmarks.
-  sim::Scheduler scheduler = sim::Scheduler::kSession;
   /// Deterministic fault injection for the pipeline (chaos testing, see
   /// sim/fault.hpp): non-null installs the plan for the duration of the
   /// call via ScopedFaultPlan. DIRECT synchronous calls only -- the pointer

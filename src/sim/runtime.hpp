@@ -40,16 +40,17 @@
 // Section 1.4 observation that "all vertices are active at (almost) all
 // times" holds for the headline presets as a whole, but most individual
 // sub-phases (layer peeling, greedy sweeps, refinement tails) spend the
-// bulk of their rounds with a small, shrinking live set. The default
-// Scheduler::kSparse therefore drives each round by the live set and the
-// messages actually written: every shard keeps a compacted, canonically
-// ordered live-vertex list (maintained incrementally as vertices halt, not
-// re-derived by an O(n) flag sweep), and senders record the slots they
-// write into per-shard touched-slot lists so a receiver's inbox can be
-// assembled from exactly the cells written for it. Per-round cost is
-// O(live + messages) instead of O(n + sum_{live} deg). Scheduler::kDense
-// preserves the legacy full-sweep executor for A/B verification; both
-// schedulers are bit-identical in outputs, RunStats and PhaseLog.
+// bulk of their rounds with a small, shrinking live set. The executor
+// therefore drives each round by the live set and the messages actually
+// written: every shard keeps a compacted, canonically ordered live-vertex
+// list (maintained incrementally as vertices halt, not re-derived by an
+// O(n) flag sweep), and senders record the slots they write into per-shard
+// touched-slot lists so a receiver's inbox can be assembled from exactly
+// the cells written for it. Per-round cost is O(live + messages) instead of
+// O(n + sum_{live} deg). Outputs, RunStats and the PhaseLog are checked
+// bit-identical against the tests-only reference executor
+// (tests/reference_executor.hpp), a full sweep over an ordered message map
+// that shares none of this delivery code.
 //
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
@@ -97,6 +98,12 @@ struct RuntimeAccess;  // distributed transport's window into the session
 
 namespace dvc::sim {
 
+/// The tests-only reference executor's window into the session
+/// (tests/reference_executor.hpp defines it): Ctx construction, inbox
+/// filling, the halted flags, shard 0's counters and the out arena --
+/// nothing of the delivery machinery.
+struct ReferenceAccess;
+
 /// Raised when a message's payload exceeds the CONGEST word cap in force
 /// for the phase -- the session budget (Runtime::set_congest_words) or the
 /// program's own declared contract (VertexProgram::max_words), whichever is
@@ -124,30 +131,15 @@ class bandwidth_error : public invariant_error {
   bool from_contract;  ///< true: program max_words(); false: session budget
 };
 
-/// Executor scheduling strategy. The choice never affects program outputs,
-/// RunStats or the PhaseLog -- only wall-clock -- and is verified bit-
-/// identical by the test suite.
-enum class Scheduler {
-  /// Keep the session's current scheduler (used by Knobs-style toggles and
-  /// ScopedScheduler as the "no override" value).
-  kSession = 0,
-  /// Live-list + sender-driven delivery: O(live + messages) per round. The
-  /// default.
-  kSparse,
-  /// Legacy full-sweep executor: O(n + sum_{live} deg) per round. Kept as
-  /// the A/B baseline for the sparse path.
-  kDense,
-};
-
 struct RunStats {
   int rounds = 0;
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
   /// Algorithmic work of the phase: one item per program activation (a
   /// begin() or step() call) plus one per delivered inbox message. By
-  /// construction this is scheduler-invariant (it counts the work the
+  /// construction this is executor-invariant (it counts the work the
   /// algorithm demands, not executor-internal scanning), so benches can
-  /// report work vs wall time and sparse/dense A/B runs stay bit-identical.
+  /// report work vs wall time and reference-executor runs stay bit-identical.
   std::uint64_t work_items = 0;
   /// Widest single message payload (words) observed during the phase; the
   /// phase ran within the CONGEST model iff this is <= the word budget.
@@ -165,7 +157,7 @@ struct RunStats {
   std::vector<std::uint64_t> words_per_round;
 
   /// Full bitwise comparison, counters and series alike: the test suite's
-  /// shard-count/scheduler bit-identity checks and the benches' A/B
+  /// shard-count/reference bit-identity checks and the benches' A/B
   /// attestations all compare through this one operator, so a new field
   /// can never be silently left out of an identity check.
   friend bool operator==(const RunStats&, const RunStats&) = default;
@@ -303,8 +295,8 @@ class PhaseLog {
 
   /// Peak per-round live-vertex count of entry i (spans: max over the
   /// subtree's leaves). 0 for phases with no communication rounds. This is
-  /// the `peak_live` field benches emit so the sparse-scheduler speedup
-  /// claims are auditable from bench artifacts alone.
+  /// the `peak_live` field benches emit so live-set sizes are auditable
+  /// from bench artifacts alone.
   std::int32_t peak_active(std::size_t i) const;
 
   /// Sequential composition of all top-level (depth 0) entries: equals the
@@ -398,6 +390,7 @@ class Inbox {
 
  private:
   friend class Runtime;
+  friend struct ReferenceAccess;
   std::vector<MsgView> msgs_;
 };
 
@@ -437,6 +430,7 @@ class Ctx {
 
  private:
   friend class Runtime;
+  friend struct ReferenceAccess;
   Ctx(Runtime& rt, int shard, V v) : rt_(&rt), shard_(shard), v_(v) {}
   Runtime* rt_;
   int shard_;
@@ -484,7 +478,8 @@ class VertexProgram {
 
 class Runtime;
 
-/// Seam between the round loop and the distributed transport (src/dist/):
+/// Seam between the round loop and the distributed transport (src/dist/),
+/// also used by the tests-only reference executor (ReferenceAccess):
 /// run_phase_body offers each phase to the installed executor; an accepting
 /// executor replaces the two shard-pool dispatches (begin sweep, step
 /// sweeps) with its own -- worker processes sweeping their shard partitions
@@ -556,15 +551,6 @@ class Runtime {
   void set_congest_words(int words) { congest_words_ = words < 0 ? 0 : words; }
   int congest_words() const { return congest_words_; }
 
-  /// Selects the executor for subsequent run_phase calls. kSession is a
-  /// no-op (keeps the current choice); fresh sessions start on kSparse.
-  /// Program outputs, RunStats and the PhaseLog are bit-identical under
-  /// either scheduler -- only wall-clock differs.
-  void set_scheduler(Scheduler s) {
-    if (s != Scheduler::kSession) scheduler_ = s;
-  }
-  Scheduler scheduler() const { return scheduler_; }
-
   PhaseLog& log() { return log_; }
   const PhaseLog& log() const { return log_; }
   /// Forgets recorded phases but keeps log arena capacity (warm reuse
@@ -605,10 +591,9 @@ class Runtime {
   /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
-  /// While a plan with message faults or checksum is armed the sparse
-  /// scheduler's grouped delivery is disabled (delivery must re-read the
-  /// epoch stamps the injector rewinds); outputs are unchanged, per the
-  /// scheduler bit-identity contract. Pass a default-constructed plan to
+  /// While a plan is armed grouped delivery is disabled (delivery must
+  /// re-read the epoch stamps the injector rewinds); outputs are unchanged,
+  /// per the bit-identity contract. Pass a default-constructed plan to
   /// clear; sessions handed across jobs must clear it (see ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
     fault_plan_ = std::move(plan);
@@ -656,9 +641,9 @@ class Runtime {
   int phases_run() const { return phase_index_; }
 
   /// Serializes the session's phase-boundary state -- graph binding
-  /// fingerprint, scheduler and CONGEST budget, halted/live state, epoch
-  /// stamp base, and the full PhaseLog -- into a flat byte buffer with a
-  /// trailing content checksum. Only meaningful AT a phase boundary (which
+  /// fingerprint, CONGEST budget, halted/live state, epoch stamp base, and
+  /// the full PhaseLog -- into a flat byte buffer with a trailing content
+  /// checksum. Only meaningful AT a phase boundary (which
   /// is the only place callers can run: run_phase is synchronous), e.g.
   /// from the interrupt hook or after catching a phase error. Requires
   /// that the session is not itself mid-replay of an earlier resume.
@@ -728,6 +713,7 @@ class Runtime {
   /// state only the transport may touch (arenas, shard counters, halted
   /// bitmap, epoch stamps).
   friend struct dvc::dist::RuntimeAccess;
+  friend struct ReferenceAccess;
 
   /// What a dispatched sweep runs on each shard. kInit is issued once, from
   /// the constructor: every shard default-initializes ITS OWN slice of the
@@ -754,10 +740,9 @@ class Runtime {
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
     std::vector<std::vector<std::int64_t>> words;  // one per shard
-    /// Sender-driven delivery index (sparse scheduler only): the inbox
-    /// slots each sending shard wrote this round, as one flat list per
-    /// sender so recording costs a single bounds-checked append on the
-    /// send path (receivers filter by their contiguous slot range, which
+    /// Sender-driven delivery index: the inbox slots each sending shard
+    /// wrote this round, as one flat list per sender so recording costs a
+    /// single bounds-checked append on the send path (receivers filter by their contiguous slot range, which
     /// vertex-contiguous shards get for free). Recording stops at the
     /// runtime's touch cap -- the matching overflow flag forces port-scan
     /// delivery, which is the right mode at such message volumes anyway.
@@ -805,8 +790,8 @@ class Runtime {
     std::uint64_t lane_count = 0;
     std::uint64_t lane_xor_slots = 0;
     std::uint64_t lane_xor_words = 0;
-    /// Sparse scheduler: the shard's non-halted vertices in ascending
-    /// (canonical) order. Rebuilt after begin(), then compacted in place
+    /// The shard's non-halted vertices in ascending (canonical) order.
+    /// Rebuilt after begin(), then compacted in place
     /// during each step sweep -- a vertex can only halt itself, so the
     /// sweep that runs step(v) also decides v's survival. Never re-derived
     /// from the halted flags between rounds.
@@ -835,11 +820,8 @@ class Runtime {
   void do_halt(int shard, V v);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
-  /// Step sweep of the legacy dense executor: full vertex-range scan with
-  /// per-port inbox assembly.
-  void dense_step(int shard, VertexProgram& program);
-  /// Step sweep of the sparse executor: live-list driven, with per-round
-  /// choice between sender-driven grouped delivery and a live port scan.
+  /// Step sweep: live-list driven, with per-round choice between
+  /// sender-driven grouped delivery and a live port scan.
   void sparse_step(int shard, VertexProgram& program);
   /// Assembles vertex v's inbox from its contiguous touched-slot group
   /// (sorted into canonical port order in place).
@@ -884,10 +866,6 @@ class Runtime {
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  Scheduler scheduler_ = Scheduler::kSparse;
-  /// Scheduler captured at phase start, so a mid-phase set_scheduler call
-  /// cannot desynchronize the shards.
-  bool phase_sparse_ = true;
   /// Per-sender-shard cap on touched-slot recording per round: beyond it a
   /// round is dense enough that grouped delivery would lose to the port
   /// scan, so the sender stops paying for the index and flags overflow.
@@ -1000,28 +978,6 @@ class ScopedDefaultShards {
 
  private:
   int previous_;
-  bool active_;
-};
-
-/// Scoped override of a session's executor scheduler; Scheduler::kSession
-/// leaves the current choice untouched (no-op guard). Restores on
-/// destruction, so drivers can run an A/B phase without mutating a
-/// caller-provided session permanently.
-class ScopedScheduler {
- public:
-  ScopedScheduler(Runtime& rt, Scheduler s)
-      : rt_(&rt), previous_(rt.scheduler()), active_(s != Scheduler::kSession) {
-    if (active_) rt_->set_scheduler(s);
-  }
-  ~ScopedScheduler() {
-    if (active_) rt_->set_scheduler(previous_);
-  }
-  ScopedScheduler(const ScopedScheduler&) = delete;
-  ScopedScheduler& operator=(const ScopedScheduler&) = delete;
-
- private:
-  Runtime* rt_;
-  Scheduler previous_;
   bool active_;
 };
 

@@ -21,9 +21,11 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 #include "core/api.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
+#include "reference_executor.hpp"
 #include "service/service.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
@@ -319,12 +321,14 @@ TEST(Checkpoint, ResumeAtEveryPhaseBoundaryIsBitIdentical) {
   constexpr int kBound = 3;
   constexpr Preset kPreset = Preset::NearLinearColors;
 
-  // Baseline: count the pipeline's phase boundaries (the interrupt hook is
-  // polled exactly once at the top of every run_phase) and keep the result.
-  sim::Runtime base(g, 2);
+  // Baseline, on the reference executor: count the pipeline's phase
+  // boundaries (the interrupt hook is polled exactly once at the top of
+  // every run_phase) and keep the result.
+  dvc_test::ReferenceSession base(g);
   int polls = 0;
-  base.set_interrupt([&polls] { ++polls; });
-  const LegalColoringResult baseline = color_graph(base, kBound, kPreset);
+  base.runtime().set_interrupt([&polls] { ++polls; });
+  const LegalColoringResult baseline =
+      color_graph(base.runtime(), kBound, kPreset);
   ASSERT_GT(polls, 2) << "pipeline too short to exercise boundaries";
 
   struct Abort {};
@@ -414,6 +418,37 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     bad[bad.size() / 2] ^= 0x40;
     sim::Runtime fresh(g, 2);
     EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
+  }
+  // Re-sealed buffers: a valid content checksum over a field the resume
+  // path must reject on its own. Layout: magic u64 | version u32 | digest
+  // u64 | n i64 | slots i64 | congest_words i32 | ... | checksum u64.
+  constexpr std::size_t kVersionOffset = 8;
+  constexpr std::size_t kCongestOffset = 36;
+  const auto reseal = [&](std::size_t offset, std::int32_t value) {
+    std::vector<std::uint8_t> buf(ckpt.begin(), ckpt.end() - 8);
+    for (int i = 0; i < 4; ++i) {
+      buf[offset + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(static_cast<std::uint32_t>(value) >> (8 * i));
+    }
+    constexpr std::uint64_t kCheckpointMagic = 0x647663434b505431ULL;
+    const std::uint64_t sum = wire::checksum64(kCheckpointMagic, buf);
+    for (int i = 0; i < 8; ++i) {
+      buf.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+    }
+    return buf;
+  };
+  {  // The re-sealing itself is sound: an unchanged budget resumes.
+    sim::Runtime fresh(g, 2);
+    EXPECT_NO_THROW(fresh.resume(reseal(kCongestOffset, 0)));
+  }
+  {  // A checkpoint from the version-1 format (which carried a scheduler
+    // field) must be refused, not misread.
+    sim::Runtime fresh(g, 2);
+    EXPECT_THROW(fresh.resume(reseal(kVersionOffset, 1)), precondition_error);
+  }
+  {  // A negative CONGEST budget is not a state checkpoint() can produce.
+    sim::Runtime fresh(g, 2);
+    EXPECT_THROW(fresh.resume(reseal(kCongestOffset, -1)), precondition_error);
   }
   {  // A divergent replay (different phase than the checkpointed run) must
     // be caught at the first re-recorded phase.

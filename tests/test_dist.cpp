@@ -31,6 +31,7 @@
 #include "graph/arboricity.hpp"
 #include "graph/coloring.hpp"
 #include "graph/generators.hpp"
+#include "reference_executor.hpp"
 #include "service/service.hpp"
 #include "sim/runtime.hpp"
 #include "test_helpers.hpp"
@@ -189,7 +190,8 @@ TEST(Wire, ChecksumMatchesCheckpointIdiom) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity: distributed == in-process, at every shard/worker count
+// Bit-identity: distributed == the reference executor / in-process, at
+// every shard/worker count
 
 TEST(DistIdentity, LoopbackMatchesInProcessAcrossPresetsShardsWorkers) {
   struct Instance {
@@ -214,7 +216,8 @@ TEST(DistIdentity, LoopbackMatchesInProcessAcrossPresetsShardsWorkers) {
 
   for (const Instance& inst : instances) {
     for (const Preset preset : presets) {
-      const LegalColoringResult base = solo_run(inst.g, inst.bound, preset, 1);
+      const LegalColoringResult base =
+          dvc_test::reference_coloring(inst.g, inst.bound, preset, knobs);
       EXPECT_TRUE(is_legal_coloring(inst.g, base.colors));
       for (const int shards : {1, 2, 8}) {
         for (const int workers : {2, 3}) {
@@ -228,7 +231,7 @@ TEST(DistIdentity, LoopbackMatchesInProcessAcrossPresetsShardsWorkers) {
           DistSession session(rt, cfg);
           const LegalColoringResult got =
               color_graph(rt, inst.bound, preset, knobs);
-          expect_identical(base, got, "loopback diverged from in-process");
+          expect_identical(base, got, "loopback diverged from the reference");
           // Wire accounting: at least one phase actually crossed the
           // (simulated) wire, and declared CONGEST totals match the stats.
           const PhaseWireMetrics totals = session.totals();

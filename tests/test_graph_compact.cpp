@@ -4,7 +4,8 @@
 //      accessor -- degree, neighbors, slots, mirrors, owners, ports, edges,
 //      digest -- on mixed graph families.
 //   2. Every coloring preset is bit-identical (colors, RunStats, PhaseLog)
-//      across layouts at shard counts 1/2/8.
+//      to the tests-only reference executor in both layouts at shard counts
+//      1/2/8.
 //   3. The compact layout is strictly smaller, and the owner table is gone
 //      from both layouts.
 //   4. The streaming CsrBuilder reproduces Graph::from_edges bit-for-bit,
@@ -18,6 +19,7 @@
 #include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "reference_executor.hpp"
 #include "sim/runtime.hpp"
 #include "test_helpers.hpp"
 
@@ -134,19 +136,22 @@ TEST(GraphCompact, AllPresetsBitIdenticalAcrossLayoutsAndShards) {
     const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
     const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
     for (const Preset preset : kPresets) {
+      const LegalColoringResult base =
+          dvc_test::reference_coloring(compact, w.arboricity_bound, preset);
       for (const int shards : {1, 2, 8}) {
-        SCOPED_TRACE(std::string(w.family) + " / " + preset_name(preset) +
-                     " / shards=" + std::to_string(shards));
         Knobs knobs;
         knobs.shards = shards;
-        const LegalColoringResult a =
-            color_graph(compact, w.arboricity_bound, preset, knobs);
-        const LegalColoringResult b =
-            color_graph(wide, w.arboricity_bound, preset, knobs);
-        EXPECT_EQ(a.colors, b.colors);
-        EXPECT_EQ(a.distinct, b.distinct);
-        EXPECT_TRUE(same_stats(a.total, b.total));
-        EXPECT_TRUE(a.phases == b.phases);
+        for (const Graph* g : {&compact, &wide}) {
+          SCOPED_TRACE(std::string(w.family) + " / " + preset_name(preset) +
+                       " / shards=" + std::to_string(shards) +
+                       (g == &wide ? " / wide" : " / compact"));
+          const LegalColoringResult res =
+              color_graph(*g, w.arboricity_bound, preset, knobs);
+          EXPECT_EQ(res.colors, base.colors);
+          EXPECT_EQ(res.distinct, base.distinct);
+          EXPECT_TRUE(same_stats(res.total, base.total));
+          EXPECT_TRUE(res.phases == base.phases);
+        }
       }
     }
   }
