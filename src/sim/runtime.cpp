@@ -37,23 +37,28 @@ constexpr int kTouchSenderShift = 48;
 constexpr std::int64_t kTouchSlotMask =
     (std::int64_t{1} << kTouchSenderShift) - 1;
 
-/// Seed of the per-round XOR checksum lane (see Runtime::do_send /
+/// Seed of the per-round XOR checksum lane (see Runtime::send_ports /
 /// verify_delivery_checksum): slot identities and payload words are folded
 /// through digest_mix under this seed on the send path, XOR-combined across
 /// shards (order-independent, hence shard-count invariant), and re-derived
 /// from the arena at the delivery boundary.
 constexpr std::uint64_t kLaneSeed = 0x64766c616e65ULL;  // "dvlane"
 
-/// Order-dependent fold of one message's payload, bound to its slot. XORing
-/// these per-slot hashes across all fresh slots yields the round's word
-/// checksum: any dropped slot or flipped payload bit changes it.
-std::uint64_t lane_slot_hash(std::int64_t slot,
-                             std::span<const std::int64_t> words) {
+/// Order-dependent fold of one message's payload words. A broadcast folds
+/// its shared payload once and binds the fold to each slot separately.
+std::uint64_t lane_payload_fold(std::span<const std::int64_t> words) {
   std::uint64_t h = kLaneSeed;
   for (const std::int64_t w : words) {
     h = dvc::detail::digest_mix(h, std::bit_cast<std::uint64_t>(w));
   }
-  return dvc::detail::digest_mix(h, static_cast<std::uint64_t>(slot));
+  return h;
+}
+
+/// A payload fold bound to its slot. XORing these per-slot hashes across
+/// all fresh slots yields the round's word checksum: any dropped slot or
+/// flipped payload bit changes it.
+std::uint64_t lane_slot_hash(std::int64_t slot, std::uint64_t payload_fold) {
+  return dvc::detail::digest_mix(payload_fold, static_cast<std::uint64_t>(slot));
 }
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
@@ -403,12 +408,11 @@ int Ctx::degree() const { return rt_->graph().degree(v_); }
 int Ctx::round() const { return rt_->round_; }
 
 void Ctx::send(int port, std::span<const std::int64_t> payload) {
-  rt_->do_send(shard_, v_, port, payload);
+  rt_->send_ports(shard_, v_, port, 1, payload);
 }
 
 void Ctx::broadcast(std::span<const std::int64_t> payload) {
-  const int deg = degree();
-  for (int p = 0; p < deg; ++p) rt_->do_send(shard_, v_, p, payload);
+  rt_->send_ports(shard_, v_, 0, degree(), payload);
 }
 
 void Ctx::halt() { rt_->do_halt(shard_, v_); }
@@ -551,12 +555,16 @@ Runtime::~Runtime() {
   for (auto& t : threads_) t.join();
 }
 
-void Runtime::do_send(int shard, V from, int port,
-                      std::span<const std::int64_t> payload) {
+void Runtime::send_ports(int shard, V from, int first, int count,
+                         std::span<const std::int64_t> payload) {
   MachineryScope machinery;
-  DVC_REQUIRE(port >= 0 && port < g_->degree(from), "send port out of range");
-  if (static_cast<std::int64_t>(payload.size()) > msg_word_cap_) {
-    // Attribute the violation to the tighter of the two caps in force.
+  DVC_REQUIRE(first >= 0 && count >= 0 && first <= g_->degree(from) - count,
+              "send port out of range");
+  if (count == 0) return;  // an isolated vertex's broadcast sends nothing
+  const std::size_t len = payload.size();
+  if (static_cast<std::int64_t>(len) > msg_word_cap_) {
+    // Attribute the violation to the tighter of the two caps in force, and
+    // to the first port of the range (port 0 for a broadcast).
     const bool from_contract =
         phase_contract_words_ > 0 &&
         static_cast<std::int64_t>(phase_contract_words_) == msg_word_cap_;
@@ -565,63 +573,75 @@ void Runtime::do_send(int shard, V from, int port,
                       : "the session's congest_words budget";
     throw bandwidth_error(
         "bandwidth violation: vertex " + std::to_string(from) + " sent " +
-            std::to_string(payload.size()) + " words on port " +
-            std::to_string(port) + " in round " + std::to_string(round_) +
-            ", exceeding " + source + " of " + std::to_string(msg_word_cap_) +
+            std::to_string(len) + " words on port " + std::to_string(first) +
+            " in round " + std::to_string(round_) + ", exceeding " + source +
+            " of " + std::to_string(msg_word_cap_) +
             " words (CONGEST model)",
-        from, port, round_, static_cast<std::int64_t>(payload.size()),
-        msg_word_cap_, from_contract);
+        from, first, round_, static_cast<std::int64_t>(len), msg_word_cap_,
+        from_contract);
   }
   Arena& out = arenas_[1 - in_idx_];
-  const auto s = static_cast<std::size_t>(g_->mirror_slot(g_->slot(from, port)));
-  const std::int32_t stamp = stamp_base_ + round_;
-  DVC_ENSURE(out.epoch[s] != stamp,
-             "at most one message per edge-direction per round (LOCAL model)");
-  out.epoch[s] = stamp;
-  Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  auto& words = out.words[static_cast<std::size_t>(shard)];
-  DVC_ENSURE(words.size() + payload.size() <= 0xffffffffu,
+  const auto sid = static_cast<std::size_t>(shard);
+  Shard& sh = shards_[sid];
+  // One copy of the payload, shared by every slot of the range: arena
+  // payloads are immutable once written (the fault injector copies before
+  // it corrupts), so all `count` mirror slots may point at the same words.
+  auto& words = out.words[sid];
+  DVC_ENSURE(words.size() + len <= 0xffffffffu,
              "a shard's per-round payload exceeds the 32-bit arena offsets");
-  out.off[s] = static_cast<std::uint32_t>(words.size());
-  out.len[s] = static_cast<std::uint32_t>(payload.size());
+  const auto off = static_cast<std::uint32_t>(words.size());
   words.insert(words.end(), payload.begin(), payload.end());
-  if (dist_capture_) {
+
+  const std::int32_t stamp = stamp_base_ + round_;
+  const std::int64_t row = g_->slot(from, 0);
+  const V* nbr = g_->neighbors(from).data();
+  const bool capture = dist_capture_;
+  // Checksum lane: fold what was ACTUALLY sent, before any injector can
+  // touch the arena. XOR-combined across slots and shards, so the totals
+  // are delivery-order and shard-count invariant.
+  const bool lane = fault_armed_ && fault_plan_.checksum;
+  const std::uint64_t lane_fold = lane ? lane_payload_fold(payload) : 0;
+  // Sender-driven delivery index: slot + receiver (read from the sender's
+  // own cached adjacency row, so the gather never pays a scattered owner
+  // lookup), one flat append per message, capped so a round that turns out
+  // dense stops paying for an index its delivery (port scan) will not read.
+  // record_touched_ is false outright on rounds predicted dense.
+  const bool record = record_touched_;
+  auto& touched = out.touched[sid];
+  auto& touched_recv = out.touched_recv[sid];
+  for (int port = first; port < first + count; ++port) {
+    const std::int64_t s = g_->mirror_slot(row + port);
+    const auto si = static_cast<std::size_t>(s);
+    DVC_ENSURE(out.epoch[si] != stamp,
+               "at most one message per edge-direction per round (LOCAL "
+               "model)");
+    out.epoch[si] = stamp;
+    out.off[si] = off;
+    out.len[si] = static_cast<std::uint32_t>(len);
     // Distributed sweep: remember every slot written outside this worker's
     // own range -- those messages must cross the wire to their owner.
-    const auto si = static_cast<std::int64_t>(s);
-    if (si < dist_slot_lo_ || si >= dist_slot_hi_) {
-      dist_captured_[static_cast<std::size_t>(shard)].push_back(si);
+    if (capture && (s < dist_slot_lo_ || s >= dist_slot_hi_)) {
+      dist_captured_[sid].push_back(s);
+    }
+    if (lane) {
+      sh.lane_count += 1;
+      sh.lane_xor_slots ^=
+          detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
+      sh.lane_xor_words ^= lane_slot_hash(s, lane_fold);
+    }
+    if (record) {
+      if (touched.size() < touch_cap_) {
+        touched.push_back(static_cast<std::uint32_t>(s));
+        touched_recv.push_back(nbr[port]);
+      } else {
+        out.touch_overflow[sid] = 1;
+      }
     }
   }
-  if (fault_armed_ && fault_plan_.checksum) {
-    // Checksum lane: fold what was ACTUALLY sent, before any injector can
-    // touch the arena. XOR-combined across slots and shards, so the totals
-    // are delivery-order and shard-count invariant.
-    sh.lane_count += 1;
-    sh.lane_xor_slots ^=
-        detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
-    sh.lane_xor_words ^= lane_slot_hash(static_cast<std::int64_t>(s), payload);
-  }
-  if (record_touched_) {
-    // Sender-driven delivery index: slot + receiver (read from the
-    // sender's own cached adjacency row, so the gather never pays a
-    // scattered owner lookup), one flat append per message, capped so a
-    // round that turns out dense stops paying for an index its delivery
-    // (port scan) will not read. record_touched_ is false outright on
-    // rounds predicted dense.
-    auto& touched = out.touched[static_cast<std::size_t>(shard)];
-    if (touched.size() < touch_cap_) {
-      touched.push_back(static_cast<std::uint32_t>(s));
-      out.touched_recv[static_cast<std::size_t>(shard)].push_back(
-          g_->neighbor(from, port));
-    } else {
-      out.touch_overflow[static_cast<std::size_t>(shard)] = 1;
-    }
-  }
-  sh.messages += 1;
-  sh.words += payload.size();
-  if (static_cast<std::uint32_t>(payload.size()) > sh.max_msg_words) {
-    sh.max_msg_words = static_cast<std::uint32_t>(payload.size());
+  sh.messages += static_cast<std::uint64_t>(count);
+  sh.words += static_cast<std::uint64_t>(count) * len;
+  if (static_cast<std::uint32_t>(len) > sh.max_msg_words) {
+    sh.max_msg_words = static_cast<std::uint32_t>(len);
   }
 }
 
@@ -1147,8 +1167,8 @@ std::uint64_t Runtime::lane_hash_slot(const Arena& a, std::int64_t s) const {
           : static_cast<std::size_t>(
                 shard_of(g_->slot_owner(g_->mirror_slot(s))));
   const auto& words = a.words[sender];
-  return lane_slot_hash(
-      s, std::span<const std::int64_t>(words.data() + a.off[si], a.len[si]));
+  return lane_slot_hash(s, lane_payload_fold(std::span<const std::int64_t>(
+                              words.data() + a.off[si], a.len[si])));
 }
 
 void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
@@ -1212,9 +1232,20 @@ void Runtime::snapshot_send_lane_and_inject(int delivery_round) {
                     shard_of(g_->slot_owner(g_->mirror_slot(s))));
       const std::size_t word =
           static_cast<std::size_t>((h >> 17) % out.len[si]);
+      // Copy on write: a broadcast's slots share one payload copy, so the
+      // victim gets a private copy at the tail of the sender's buffer
+      // before a bit flips -- only this one message is corrupted.
+      auto& words = out.words[sender];
+      const std::size_t tail = words.size();
+      DVC_ENSURE(tail + out.len[si] <= 0xffffffffu,
+                 "a shard's per-round payload exceeds the 32-bit arena "
+                 "offsets");
+      words.resize(tail + out.len[si]);
+      std::copy_n(words.begin() + out.off[si], out.len[si],
+                  words.begin() + static_cast<std::ptrdiff_t>(tail));
+      out.off[si] = static_cast<std::uint32_t>(tail);
       // XOR with a nonzero mask: the payload word provably changes.
-      out.words[sender][out.off[si] + word] ^=
-          static_cast<std::int64_t>(h | 1);
+      words[tail + word] ^= static_cast<std::int64_t>(h | 1);
       faults_injected_.fetch_add(1, std::memory_order_relaxed);
       break;
     }

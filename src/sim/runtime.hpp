@@ -414,6 +414,11 @@ class Ctx {
   void send(int port, std::initializer_list<std::int64_t> payload) {
     send(port, std::span<const std::int64_t>(payload.begin(), payload.size()));
   }
+  /// Sends `payload` on every port. The words are copied once and all of
+  /// the vertex's mirror slots point at that one copy; the result (inboxes,
+  /// RunStats, errors) equals send(p, payload) for p = 0..degree()-1 in
+  /// ascending order. A bandwidth violation names port 0; a port already
+  /// used this round throws invariant_error; degree 0 sends nothing.
   void broadcast(std::span<const std::int64_t> payload);
   void broadcast(std::initializer_list<std::int64_t> payload) {
     broadcast(std::span<const std::int64_t>(payload.begin(), payload.size()));
@@ -685,8 +690,9 @@ class Runtime {
   /// slot-indexed steady state (arenas + delivery indexes + per-vertex
   /// bookkeeping) is bounded per slot independent of traffic, while
   /// payload_bytes is the high-water capacity of the double-buffered
-  /// message-word buffers -- proportional to the widest round's traffic
-  /// (up to 2 x congest_words x 8 bytes per slot under a full flood).
+  /// message-word buffers -- proportional to the widest round's traffic:
+  /// up to 2 x congest_words x 8 bytes per sending vertex for broadcasts,
+  /// per slot only for per-port sends.
   struct MemoryBreakdown {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
@@ -731,7 +737,11 @@ class Runtime {
   /// warm phase start is O(n), not O(slots). Payload words live in flat
   /// per-shard buffers (`words[shard]`) to keep concurrent appends
   /// race-free; `off/len` locate a slot's payload inside the sending
-  /// shard's buffer.
+  /// shard's buffer. Several slots' off/len may alias one payload: a
+  /// broadcast writes its words once for all of the sender's mirror slots.
+  /// Arena payloads are therefore immutable once written; the only writer
+  /// is the fault injector, which copies a victim's words to a fresh tail
+  /// of the buffer before it corrupts them (copy on write).
   struct Arena {
     /// Slot-indexed arrays (12 bytes per slot): raw first-touch-initialized
     /// buffers, not vectors, so page placement follows the kInit job (see
@@ -816,7 +826,14 @@ class Runtime {
   /// First-touch initialization of the shard's slices of the slot-indexed
   /// arena arrays and vertex-indexed delivery metadata (Job::kInit).
   void init_shard(int shard);
-  void do_send(int shard, V from, int port, std::span<const std::int64_t> payload);
+  /// The one send path: `payload` to ports [first, first + count) of
+  /// `from`. Port, cap and offset checks, the payload copy and the message
+  /// counters run once per call; each slot then gets its epoch stamp (the
+  /// one-send-per-edge check, in ascending port order), an off/len pointing
+  /// at the shared copy, and its dist capture, checksum lane and touched
+  /// entry. Ctx::send is count 1, Ctx::broadcast the whole row.
+  void send_ports(int shard, V from, int first, int count,
+                  std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
@@ -872,7 +889,7 @@ class Runtime {
   std::size_t touch_cap_ = 0;
   /// Round-granular recording gate, decided by run_phase from the previous
   /// round's message count against the current live port space. False on
-  /// message-dense rounds, where do_send skips the index behind a single
+  /// message-dense rounds, where send_ports skips the index behind a single
   /// predictable branch.
   bool record_touched_ = true;
   /// Per-vertex grouped-delivery bookkeeping, written only by the owning
@@ -921,7 +938,7 @@ class Runtime {
   std::int64_t msg_word_cap_ = 0;
   /// Distributed-phase seam state. The executor (borrowed; see
   /// set_phase_executor) is offered every phase. While a worker process
-  /// sweeps on behalf of the transport, dist_capture_ makes do_send also
+  /// sweeps on behalf of the transport, dist_capture_ makes send_ports also
   /// record, per sending shard, every inbox slot OUTSIDE the worker's own
   /// slot range [dist_slot_lo_, dist_slot_hi_) -- the messages that must
   /// cross the wire to their owning worker. Slot ids are i64 (the capture

@@ -13,6 +13,7 @@
 // would hide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <new>
 #include <stdexcept>
@@ -161,6 +162,64 @@ TEST(Fault, DropAndCorruptionDetectedIdenticallyAtAnyShardCount) {
         }
       }
     }
+  }
+}
+
+/// Number of delivered messages whose payload differs between two Chatter
+/// transcripts of the same schedule (the framing -- round, port, width --
+/// must agree entry for entry).
+std::size_t differing_messages(const dvc_test::Chatter::Transcripts& a,
+                               const dvc_test::Chatter::Transcripts& b) {
+  std::size_t differ = 0;
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    const auto& x = a[v];
+    const auto& y = b[v];
+    EXPECT_EQ(x.size(), y.size()) << "vertex " << v;
+    if (x.size() != y.size()) return a.size();
+    for (std::size_t i = 0; i < x.size();) {
+      EXPECT_EQ(x[i], y[i]);          // round
+      EXPECT_EQ(x[i + 1], y[i + 1]);  // port
+      EXPECT_EQ(x[i + 2], y[i + 2]);  // width
+      const auto width = static_cast<std::size_t>(x[i + 2]);
+      if (!std::equal(x.begin() + static_cast<std::ptrdiff_t>(i + 3),
+                      x.begin() + static_cast<std::ptrdiff_t>(i + 3 + width),
+                      y.begin() + static_cast<std::ptrdiff_t>(i + 3))) {
+        ++differ;
+      }
+      i += 3 + width;
+    }
+  }
+  return differ;
+}
+
+TEST(Fault, CorruptingABroadcastDamagesOneMessageNotItsSiblings) {
+  // A broadcast's mirror slots share one payload copy. The injector must
+  // copy the victim's words before it flips a bit: with the checksum lane
+  // off, the corruption is delivered, and it must reach exactly one inbox
+  // -- not all four neighbours of the victim's sender.
+  const Graph g = torus_graph(16, 16);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    dvc_test::Chatter::Transcripts clean(n), faulty(n);
+    sim::RunStats clean_stats;
+    {
+      sim::Runtime rt(g, shards);
+      dvc_test::Chatter prog(/*per_port=*/false, 6, clean);
+      clean_stats = rt.run_phase(prog, 16);
+    }
+    sim::Runtime rt(g, shards);
+    sim::FaultPlan plan;
+    plan.seed = 29;
+    plan.checksum = false;
+    plan.scheduled.push_back({sim::FaultKind::kMessageCorrupt, /*phase=*/0,
+                              /*round=*/2, /*shard=*/-1, /*salt=*/-1});
+    rt.set_fault_plan(plan);
+    dvc_test::Chatter prog(/*per_port=*/false, 6, faulty);
+    const sim::RunStats faulty_stats = rt.run_phase(prog, 16);
+    EXPECT_EQ(rt.faults_injected(), 1u);
+    EXPECT_TRUE(clean_stats == faulty_stats);
+    EXPECT_EQ(differing_messages(clean, faulty), 1u);
   }
 }
 

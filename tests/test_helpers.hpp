@@ -4,7 +4,10 @@
 // header for the helpers below.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sim/runtime.hpp"
 
@@ -29,6 +32,57 @@ class FloodAll : public dvc::sim::VertexProgram {
 
  private:
   int rounds_;
+};
+
+/// Speaks on every port with a 1-3-word payload that varies per vertex and
+/// round -- by one broadcast, or (`per_port`) by send(p) for ascending p,
+/// which must be indistinguishable -- and appends every delivered message
+/// to its receiver's transcript as {round, port, width, words...}. Vertices
+/// fall silent on some rounds and halt on a staggered schedule, so the
+/// transcripts also cover quiet senders and messages to halted vertices.
+/// `sparse` lets a vertex speak only one round in 32, so delivery runs
+/// from the senders' touched-slot index instead of the port scan.
+class Chatter : public dvc::sim::VertexProgram {
+ public:
+  using Transcripts = std::vector<std::vector<std::int64_t>>;
+  Chatter(bool per_port, int rounds, Transcripts& heard, bool sparse = false)
+      : per_port_(per_port), sparse_(sparse), rounds_(rounds), heard_(heard) {}
+  std::string name() const override { return "chatter"; }
+  int max_words() const override { return 3; }
+  void begin(dvc::sim::Ctx& ctx) override { speak(ctx); }
+  void step(dvc::sim::Ctx& ctx, const dvc::sim::Inbox& inbox) override {
+    auto& t = heard_[static_cast<std::size_t>(ctx.vertex())];
+    for (const dvc::sim::MsgView& m : inbox) {
+      t.push_back(ctx.round());
+      t.push_back(m.port);
+      t.push_back(static_cast<std::int64_t>(m.data.size()));
+      t.insert(t.end(), m.data.begin(), m.data.end());
+    }
+    if (ctx.round() + ctx.id() % 3 >= rounds_) {
+      ctx.halt();
+      return;
+    }
+    speak(ctx);
+  }
+
+ private:
+  void speak(dvc::sim::Ctx& ctx) {
+    const std::int64_t id = ctx.id();
+    const std::int64_t r = ctx.round();
+    if (sparse_ ? (id + r) % 32 != 0 : (id + r) % 5 == 0) return;
+    const std::int64_t words[3] = {id, r, id * 131 + r};
+    const std::span<const std::int64_t> payload(
+        words, static_cast<std::size_t>(1 + (id + 2 * r) % 3));
+    if (!per_port_) {
+      ctx.broadcast(payload);
+      return;
+    }
+    for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, payload);
+  }
+  bool per_port_;
+  bool sparse_;
+  int rounds_;
+  Transcripts& heard_;
 };
 
 }  // namespace dvc_test

@@ -15,9 +15,15 @@
 //      raising a structured bandwidth_error.
 //   6. The PhaseLog is a consistent tree: spans aggregate their subtrees
 //      and slices rebase cleanly.
+//   7. A broadcast (one payload copy shared by all of the sender's mirror
+//      slots) is indistinguishable from per-port sends in ascending order,
+//      errors included. The reference executor reaches the arena through
+//      the same send path, so the suites of section 4 cannot see this.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -33,6 +39,7 @@
 namespace dvc {
 namespace {
 
+using dvc_test::Chatter;
 using dvc_test::FloodAll;
 using dvc_test::ReferenceSession;
 using dvc_test::same_stats;
@@ -627,6 +634,150 @@ TEST(PhaseLog, SliceRebasesDepthAndPreservesNames) {
   EXPECT_EQ(sliced[0].rounds, sliced[1].rounds);
   // Slicing is self-similar: re-slicing from 0 is the identity.
   EXPECT_TRUE(sliced.slice(0) == sliced);
+}
+
+// --- 7. Broadcast is ascending per-port sends -------------------------------
+
+namespace bcast {
+
+/// A hub-heavy preferential-attachment part, a star and isolated vertices:
+/// every multiple of 7 loses its edges, and the last 20 vertices never had
+/// any.
+Graph mixed_graph(std::uint64_t seed) {
+  const Graph ba = barabasi_albert(400, 3, seed);
+  EdgeList edges;
+  for (const auto& [u, v] : ba.edges()) {
+    if (u % 7 != 0 && v % 7 != 0) edges.emplace_back(u, v);
+  }
+  for (V leaf = 401; leaf < 460; ++leaf) {
+    if (leaf % 7 != 0) edges.emplace_back(400, leaf);
+  }
+  return Graph::from_edges(480, edges);
+}
+
+/// Every vertex broadcasts {id} in begin() and each round up to `at`; in
+/// round `at` the vertices `who` selects run `act` instead.
+class OneShot : public sim::VertexProgram {
+ public:
+  OneShot(int at, std::function<bool(const sim::Ctx&)> who,
+          std::function<void(sim::Ctx&)> act)
+      : at_(at), who_(std::move(who)), act_(std::move(act)) {}
+  std::string name() const override { return "one-shot"; }
+  void begin(sim::Ctx& ctx) override { speak(ctx); }
+  void step(sim::Ctx& ctx, const sim::Inbox&) override {
+    if (ctx.round() > at_) ctx.halt();
+    else speak(ctx);
+  }
+
+ private:
+  void speak(sim::Ctx& ctx) {
+    if (ctx.round() == at_ && who_(ctx)) act_(ctx);
+    else ctx.broadcast({ctx.id()});
+  }
+  int at_;
+  std::function<bool(const sim::Ctx&)> who_;
+  std::function<void(sim::Ctx&)> act_;
+};
+
+}  // namespace bcast
+
+TEST(Broadcast, EqualsAscendingPerPortSendsAtAnyShardCount) {
+  for (const std::uint64_t seed : {3u, 11u}) {
+    const Graph g = bcast::mixed_graph(seed);
+    ASSERT_EQ(g.degree(7), 0);
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    for (const int shards : {1, 2, 8}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " shards=" + std::to_string(shards));
+      sim::Runtime bcast_rt(g, shards);
+      sim::Runtime ports_rt(g, shards);
+      bcast_rt.set_congest_words(3);
+      ports_rt.set_congest_words(3);
+      // Dense phases deliver by port scan, the sparse one from the
+      // touched-slot index; later phases run on warm arenas and advanced
+      // epoch stamps.
+      for (const auto& [rounds, sparse] :
+           {std::pair{6, false}, std::pair{40, true}, std::pair{4, false}}) {
+        SCOPED_TRACE("rounds=" + std::to_string(rounds));
+        Chatter::Transcripts bcast_heard(n), ports_heard(n);
+        Chatter bcast_prog(/*per_port=*/false, rounds, bcast_heard, sparse);
+        Chatter ports_prog(/*per_port=*/true, rounds, ports_heard, sparse);
+        const sim::RunStats a = bcast_rt.run_phase(bcast_prog, 64);
+        const sim::RunStats b = ports_rt.run_phase(ports_prog, 64);
+        EXPECT_GT(a.messages, 0u);
+        EXPECT_EQ(a.max_msg_words, 3u);
+        EXPECT_TRUE(same_stats(a, b));
+        EXPECT_TRUE(bcast_heard == ports_heard)
+            << "delivered inbox contents differ";
+      }
+      EXPECT_TRUE(bcast_rt.log() == ports_rt.log());
+    }
+  }
+}
+
+TEST(Broadcast, IsolatedVertexSendsNothingEvenOverTheCap) {
+  const Graph g = bcast::mixed_graph(3);
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    rt.set_congest_words(3);
+    bcast::OneShot prog(
+        /*at=*/1, [](const sim::Ctx& ctx) { return ctx.degree() == 0; },
+        [](sim::Ctx& ctx) { ctx.broadcast({1, 2, 3, 4, 5}); });
+    const sim::RunStats& stats = rt.run_phase(prog, 8);
+    EXPECT_EQ(stats.max_msg_words, 1u);
+    EXPECT_EQ(stats.words, stats.messages);
+  }
+}
+
+TEST(Broadcast, OverCapBroadcastNamesPortZeroAndItsRound) {
+  const Graph g = bcast::mixed_graph(3);
+  constexpr V kHub = 400;
+  ASSERT_GT(g.degree(kHub), 2);
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    rt.set_congest_words(3);
+    bcast::OneShot prog(
+        /*at=*/2, [](const sim::Ctx& ctx) { return ctx.vertex() == kHub; },
+        [](sim::Ctx& ctx) { ctx.broadcast({1, 2, 3, 4}); });
+    try {
+      rt.run_phase(prog, 8);
+      FAIL() << "expected bandwidth_error";
+    } catch (const sim::bandwidth_error& e) {
+      EXPECT_EQ(e.vertex, kHub);
+      EXPECT_EQ(e.port, 0);
+      EXPECT_EQ(e.round, 2);
+      EXPECT_EQ(e.words, 4);
+      EXPECT_EQ(e.cap, 3);
+      EXPECT_FALSE(e.from_contract);
+    }
+  }
+}
+
+TEST(Broadcast, AfterASendOnOnePortViolatesOneMessagePerEdge) {
+  const Graph g = bcast::mixed_graph(3);
+  constexpr V kHub = 400;
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    bcast::OneShot prog(
+        /*at=*/1, [](const sim::Ctx& ctx) { return ctx.vertex() == kHub; },
+        [](sim::Ctx& ctx) {
+          ctx.send(1, {ctx.id()});
+          ctx.broadcast({ctx.id()});
+        });
+    try {
+      rt.run_phase(prog, 8);
+      FAIL() << "expected invariant_error";
+    } catch (const sim::bandwidth_error& e) {
+      FAIL() << "a 1-word payload cannot exceed a cap: " << e.what();
+    } catch (const invariant_error& e) {
+      EXPECT_NE(std::string(e.what()).find("one message per edge-direction"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
