@@ -94,7 +94,7 @@ bool run_config(benchio::JsonSink& sink, const std::string& family, int scale,
   const sim::Runtime::MemoryBreakdown rb = rt.memory_breakdown();
   const std::uint64_t runtime_bytes = rb.total();
   // The DESIGN.md budget line: slot-indexed steady state (graph + arenas +
-  // indexes + per-vertex bookkeeping), excluding the traffic-proportional
+  // workspaces + per-vertex bookkeeping), excluding the traffic-proportional
   // payload high-water, which is reported separately.
   const double steady_bytes_per_slot =
       g.num_slots() > 0

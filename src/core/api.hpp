@@ -48,7 +48,8 @@ struct Knobs {
   int t = 2;         // TradeoffAT
   int f = 0;         // FastSubquadratic class arboricity (0: ~sqrt(a))
   double eps = 0.25; // H-partition slack
-  /// Executor shards for every simulated phase (0 = keep thread default).
+  /// Executor shards of the session color_graph/mis_graph(const Graph&)
+  /// build for the pipeline (<= 0 means 1 shard).
   /// Results are bit-identical for any value; only wall-clock changes.
   int shards = 0;
   /// Machine-model choice: per-message payload budget in words. 0 (default)

@@ -120,9 +120,9 @@ class Graph {
   }
   /// Owning vertex of slot s, derived from the offset array by binary
   /// search (O(log n)). The per-slot owner table of the old layout is gone
-  /// -- no hot path looks owners up (the runtime's delivery index records
-  /// receivers at send time instead), and eliminating it saves 4 bytes per
-  /// slot in every layout.
+  /// -- no hot path looks owners up (runtime delivery scans the receiver's
+  /// own slot row, whose owner it already knows), and eliminating it saves
+  /// 4 bytes per slot in every layout.
   V slot_owner(std::int64_t s) const;
   int slot_port(std::int64_t s) const {
     const V v = slot_owner(s);

@@ -14,29 +14,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_threads_spawned{0};
 
-/// Senders record the touched-slot index only when the previous round's
-/// messages were at least this factor sparser than the live port space:
-/// recording is two appends per message, so the gate exists purely to keep
-/// all-live dense rounds (where delivery port-scans regardless) from
-/// paying anything at all.
-constexpr std::uint64_t kTouchRecordFactor = 2;
-
-/// Grouped-delivery mode pays O(1) per message but with scattered
-/// per-message accesses (receiver metadata, group fill); the port-scan
-/// fallback pays O(1) per live port with mostly-sequential reads. Measured
-/// on commodity cores the scattered unit costs ~an order of magnitude
-/// more, so delivery groups only when messages are at least this factor
-/// sparser than the shard's live port space -- mid-density rounds stay on
-/// the scan path, truly sparse trickles skip the port scans entirely.
-constexpr std::uint64_t kGroupedDeliveryFactor = 12;
-
-/// A grouped-delivery entry packs the sending shard above the slot id, so
-/// inbox assembly can find the sender's word buffer without a scattered
-/// adjacency lookup per message.
-constexpr int kTouchSenderShift = 48;
-constexpr std::int64_t kTouchSlotMask =
-    (std::int64_t{1} << kTouchSenderShift) - 1;
-
 /// Seed of the per-round XOR checksum lane (see Runtime::send_ports /
 /// verify_delivery_checksum): slot identities and payload words are folded
 /// through digest_mix under this seed on the send path, XOR-combined across
@@ -390,14 +367,6 @@ void PhaseLog::record(std::string_view name, const RunStats& stats) {
 // ---------------------------------------------------------------------------
 // Runtime
 
-thread_local int Runtime::default_shards_{1};
-
-void Runtime::set_default_shards(int shards) {
-  default_shards_ = shards < 1 ? 1 : shards;
-}
-
-int Runtime::default_shards() { return default_shards_; }
-
 std::uint64_t Runtime::lifetime_threads_spawned() {
   return g_threads_spawned.load(std::memory_order_relaxed);
 }
@@ -425,8 +394,7 @@ std::vector<std::int64_t>& Ctx::scratch(int which) {
 
 Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   const V n = g.num_vertices();
-  std::int64_t s = shards > 0 ? shards : default_shards();
-  if (s < 1) s = 1;
+  std::int64_t s = shards > 0 ? shards : 1;
   if (n > 0 && s > n) s = n;
   if (n == 0) s = 1;
   num_shards_ = static_cast<int>(s);
@@ -440,60 +408,31 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   }
 
   // All slot- and vertex-sized state is allocated here, once per session;
-  // run_phase only resets it. The slot- and vertex-indexed arrays are
+  // run_phase only resets it. The slot-indexed arena arrays are
   // allocated WITHOUT initialization: the kInit job dispatched below has
   // each shard default its own slice, so the backing pages are first
   // touched by the thread that will read and write them (NUMA first-touch
   // placement). Vectors below that are filled exclusively by their owning
-  // shard (live, grouped, touched, words) get the same property for free:
-  // reserve() maps pages without faulting them in.
+  // shard (live, words) get the same property for free: reserve() maps
+  // pages without faulting them in.
   const auto slots = static_cast<std::size_t>(g.num_slots());
   slots_ = g.num_slots();
-  touch_idx_ok_ =
-      slots_ <= static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max());
   for (Arena& arena : arenas_) {
     arena.epoch = std::make_unique_for_overwrite<std::int32_t[]>(slots);
     arena.off = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     arena.len = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     arena.words.resize(static_cast<std::size_t>(num_shards_));
-    arena.touched.resize(static_cast<std::size_t>(num_shards_));
-    arena.touched_recv.resize(static_cast<std::size_t>(num_shards_));
-    arena.touch_overflow.assign(static_cast<std::size_t>(num_shards_), 0);
   }
-  // Grouped delivery only wins while messages are sparse relative to the
-  // slot space, so cap the per-sender index there; the cap also bounds the
-  // index's memory to a fraction of one arena. Reserving to the cap makes
-  // index recording allocation-free from round one -- a sparse workload
-  // whose recorded volume grows round over round must not heap-allocate
-  // mid-phase (the warm-round zero-allocation invariant).
-  touch_cap_ = std::max<std::size_t>(
-      1024, slots / (8 * static_cast<std::size_t>(num_shards_)));
-  for (Arena& arena : arenas_) {
-    for (auto& t : arena.touched) t.reserve(touch_cap_);
-    for (auto& t : arena.touched_recv) t.reserve(touch_cap_);
-  }
-  // Grouped-delivery entries pack the sender shard above the slot id.
-  DVC_REQUIRE(g.num_slots() < (std::int64_t{1} << kTouchSenderShift),
-              "graph slot space exceeds the grouped-delivery packing");
   halted_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
-  recv_meta_ = std::make_unique_for_overwrite<RecvMeta[]>(
-      static_cast<std::size_t>(n));
   for (Shard& sh : shards_) {
-    // Live list holds at most the shard's vertex range; the grouped-slot
-    // workspace at most the total touch cap (grouped delivery is disabled
-    // the moment any sender overflows its per-round cap, so entries can
-    // never exceed shards * touch_cap_). Inboxes hold at most the shard's
-    // max degree. Reserving the exact bounds here makes every round --
-    // including the first of a cold phase -- provably allocation-free in
+    // Live list holds at most the shard's vertex range, inboxes at most the
+    // shard's max degree. Reserving the exact bounds here makes every round
+    // -- including the first of a cold phase -- provably allocation-free in
     // the delivery path.
     sh.slot_lo = sh.first < n ? g.slot(sh.first, 0) : g.num_slots();
     sh.slot_hi = sh.last < n ? g.slot(sh.last, 0) : g.num_slots();
     sh.live.reserve(static_cast<std::size_t>(sh.last - sh.first));
-    sh.receivers.reserve(static_cast<std::size_t>(sh.last - sh.first));
-    sh.grouped.reserve(std::min(
-        static_cast<std::size_t>(sh.slot_hi - sh.slot_lo),
-        static_cast<std::size_t>(num_shards_) * touch_cap_));
     int max_deg = 0;
     for (V v = sh.first; v < sh.last; ++v) {
       max_deg = std::max(max_deg, g.degree(v));
@@ -594,21 +533,12 @@ void Runtime::send_ports(int shard, V from, int first, int count,
 
   const std::int32_t stamp = stamp_base_ + round_;
   const std::int64_t row = g_->slot(from, 0);
-  const V* nbr = g_->neighbors(from).data();
   const bool capture = dist_capture_;
   // Checksum lane: fold what was ACTUALLY sent, before any injector can
   // touch the arena. XOR-combined across slots and shards, so the totals
   // are delivery-order and shard-count invariant.
   const bool lane = fault_armed_ && fault_plan_.checksum;
   const std::uint64_t lane_fold = lane ? lane_payload_fold(payload) : 0;
-  // Sender-driven delivery index: slot + receiver (read from the sender's
-  // own cached adjacency row, so the gather never pays a scattered owner
-  // lookup), one flat append per message, capped so a round that turns out
-  // dense stops paying for an index its delivery (port scan) will not read.
-  // record_touched_ is false outright on rounds predicted dense.
-  const bool record = record_touched_;
-  auto& touched = out.touched[sid];
-  auto& touched_recv = out.touched_recv[sid];
   for (int port = first; port < first + count; ++port) {
     const std::int64_t s = g_->mirror_slot(row + port);
     const auto si = static_cast<std::size_t>(s);
@@ -628,14 +558,6 @@ void Runtime::send_ports(int shard, V from, int first, int count,
       sh.lane_xor_slots ^=
           detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
       sh.lane_xor_words ^= lane_slot_hash(s, lane_fold);
-    }
-    if (record) {
-      if (touched.size() < touch_cap_) {
-        touched.push_back(static_cast<std::uint32_t>(s));
-        touched_recv.push_back(nbr[port]);
-      } else {
-        out.touch_overflow[sid] = 1;
-      }
     }
   }
   sh.messages += static_cast<std::uint64_t>(count);
@@ -667,11 +589,8 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
       // Seed the live list from the one post-begin halted sweep; from here
       // on it is only compacted, never re-derived.
       sh.live.clear();
-      sh.live_ports = 0;
       for (V v = sh.first; v < sh.last; ++v) {
-        if (halted_[static_cast<std::size_t>(v)]) continue;
-        sh.live.push_back(v);
-        sh.live_ports += static_cast<std::uint64_t>(g_->degree(v));
+        if (!halted_[static_cast<std::size_t>(v)]) sh.live.push_back(v);
       }
       return;
     }
@@ -681,143 +600,35 @@ void Runtime::run_shard_phase(int shard, VertexProgram& program, bool is_begin) 
   }
 }
 
-void Runtime::assemble_grouped_inbox(int shard, V v, const Arena& in,
-                                     Inbox& inbox) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  const auto vi = static_cast<std::size_t>(v);
-  std::int64_t* entries = sh.grouped.data() + recv_meta_[vi].off;
-  const std::uint32_t k = recv_meta_[vi].count;
-  // Each entry packs (sender_shard << kTouchSenderShift) | slot. Canonical
-  // inbox order is ascending port == ascending slot id, so sort by the
-  // masked slot. Groups arrive in fill order (sender shard, then send
-  // order), which is close to sorted for the common ascending-sweep
-  // senders, so insertion sort wins for the small k = O(degree) group
-  // sizes; fall back to std::sort for wide inboxes.
-  const auto slot_of = [](std::int64_t e) { return e & kTouchSlotMask; };
-  if (k <= 32) {
-    for (std::uint32_t i = 1; i < k; ++i) {
-      const std::int64_t e = entries[i];
-      std::uint32_t j = i;
-      for (; j > 0 && slot_of(entries[j - 1]) > slot_of(e); --j) {
-        entries[j] = entries[j - 1];
-      }
-      entries[j] = e;
-    }
-  } else {
-    std::sort(entries, entries + k,
-              [&](std::int64_t a, std::int64_t b) {
-                return slot_of(a) < slot_of(b);
-              });
-  }
-  const std::int64_t base = g_->slot(v, 0);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::int64_t slot = slot_of(entries[i]);
-    const auto s = static_cast<std::size_t>(slot);
-    const int p = static_cast<int>(slot - base);
-    const auto sender = static_cast<std::size_t>(
-        entries[i] >> kTouchSenderShift);
-    const auto& words = in.words[sender];
-    inbox.msgs_.push_back(
-        MsgView{p, std::span<const std::int64_t>(
-                       words.data() + in.off[s], in.len[s])});
-  }
-}
-
 void Runtime::sparse_step(int shard, VertexProgram& program) {
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   const Arena& in = arenas_[in_idx_];
   const std::int32_t want = stamp_base_ + round_ - 1;
-  const auto k_shards = static_cast<std::size_t>(num_shards_);
-
-  // Total messages written last round (the flat per-sender index is not
-  // receiver-partitioned, so this upper-bounds this shard's share). Any
-  // sender overflowing its recording cap forces the port-scan mode.
-  std::uint64_t total_touched = 0;
-  bool overflow = false;
-  for (std::size_t sender = 0; sender < k_shards; ++sender) {
-    total_touched += in.touched[sender].size();
-    overflow |= in.touch_overflow[sender] != 0;
-  }
-
-  const bool grouped = in.indexed && !overflow &&
-                       total_touched * kGroupedDeliveryFactor <= sh.live_ports;
-  std::uint32_t mine = 0;
-  if (grouped) {
-    // Sender-driven assembly: filter the index down to this shard's vertex
-    // range via the recorded receivers (no owner-table lookups), count
-    // messages per receiver (stamped, so no clears), carve contiguous
-    // groups in first-touch order, then fill with packed (sender, slot)
-    // entries.
-    sh.receivers.clear();
-    for (std::size_t sender = 0; sender < k_shards; ++sender) {
-      const auto& recv = in.touched_recv[sender];
-      for (const V r : recv) {
-        if (r < sh.first || r >= sh.last) continue;
-        const auto v = static_cast<std::size_t>(r);
-        RecvMeta& m = recv_meta_[v];
-        if (m.stamp != want) {
-          m.stamp = want;
-          m.count = 0;
-          sh.receivers.push_back(r);
-        }
-        ++m.count;
-        ++mine;
-      }
-    }
-    sh.grouped.resize(static_cast<std::size_t>(mine));
-    std::uint32_t off = 0;
-    for (const V r : sh.receivers) {
-      const auto v = static_cast<std::size_t>(r);
-      RecvMeta& m = recv_meta_[v];
-      m.off = off;
-      off += m.count;
-      m.count = 0;  // becomes the fill cursor, restored to the count
-    }
-    for (std::size_t sender = 0; sender < k_shards; ++sender) {
-      const auto& slots = in.touched[sender];
-      const auto& recv = in.touched_recv[sender];
-      const std::int64_t sender_tag = static_cast<std::int64_t>(sender)
-                                      << kTouchSenderShift;
-      for (std::size_t i = 0; i < recv.size(); ++i) {
-        const V r = recv[i];
-        if (r < sh.first || r >= sh.last) continue;
-        RecvMeta& m = recv_meta_[static_cast<std::size_t>(r)];
-        sh.grouped[m.off + m.count++] =
-            sender_tag | static_cast<std::int64_t>(slots[i]);
-      }
-    }
-  }
-
-  // Sweep the live list in canonical (ascending) order, compacting it in
-  // place: only step(v) itself can halt v, so survival is known right after
-  // the call and the list never needs a separate rebuild pass.
+  // A 1-shard session has one word buffer; otherwise a message's payload
+  // lives in its sender's shard buffer.
   const std::vector<std::int64_t>* sole_words =
       num_shards_ == 1 ? in.words.data() : nullptr;
   Inbox& inbox = sh.inbox;
+  // Sweep the live list in canonical (ascending) order, compacting it in
+  // place: only step(v) itself can halt v, so survival is known right after
+  // the call and the list never needs a separate rebuild pass.
   std::size_t w = 0;
-  std::uint64_t next_ports = 0;
   const std::size_t live_count = sh.live.size();
   for (std::size_t i = 0; i < live_count; ++i) {
     const V v = sh.live[i];
     inbox.msgs_.clear();
-    if (grouped) {
-      if (recv_meta_[static_cast<std::size_t>(v)].stamp == want) {
-        assemble_grouped_inbox(shard, v, in, inbox);
-      }
-    } else {
-      const int deg = g_->degree(v);
-      const std::int64_t base = g_->slot(v, 0);
-      for (int p = 0; p < deg; ++p) {
-        const auto s = static_cast<std::size_t>(base + p);
-        if (in.epoch[s] != want) continue;
-        const auto& words =
-            sole_words ? *sole_words
-                       : in.words[static_cast<std::size_t>(
-                             shard_of(g_->neighbor(v, p)))];
-        inbox.msgs_.push_back(
-            MsgView{p, std::span<const std::int64_t>(
-                           words.data() + in.off[s], in.len[s])});
-      }
+    const int deg = g_->degree(v);
+    const std::int64_t base = g_->slot(v, 0);
+    for (int p = 0; p < deg; ++p) {
+      const auto s = static_cast<std::size_t>(base + p);
+      if (in.epoch[s] != want) continue;
+      const auto& words =
+          sole_words ? *sole_words
+                     : in.words[static_cast<std::size_t>(
+                           shard_of(g_->neighbor(v, p)))];
+      inbox.msgs_.push_back(
+          MsgView{p, std::span<const std::int64_t>(words.data() + in.off[s],
+                                                   in.len[s])});
     }
     sh.work_items += 1 + inbox.msgs_.size();
     {
@@ -825,13 +636,9 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
       ProgramScope callback;
       program.step(ctx, inbox);
     }
-    if (!halted_[static_cast<std::size_t>(v)]) {
-      sh.live[w++] = v;
-      next_ports += static_cast<std::uint64_t>(g_->degree(v));
-    }
+    if (!halted_[static_cast<std::size_t>(v)]) sh.live[w++] = v;
   }
   sh.live.resize(w);
-  sh.live_ports = next_ports;
 }
 
 void Runtime::merge_shards() {
@@ -868,9 +675,6 @@ void Runtime::init_shard(int shard) {
               std::uint32_t{0});
     std::fill(arena.len.get() + sh.slot_lo, arena.len.get() + sh.slot_hi,
               std::uint32_t{0});
-  }
-  for (V v = sh.first; v < sh.last; ++v) {
-    recv_meta_[static_cast<std::size_t>(v)] = RecvMeta{};
   }
 }
 
@@ -954,9 +758,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     for (Arena& arena : arenas_) {
       std::fill_n(arena.epoch.get(), static_cast<std::size_t>(slots_), -1);
     }
-    // The per-vertex delivery stamps share the session-round numbering and
-    // must wrap with it.
-    for (V v = 0; v < n; ++v) recv_meta_[static_cast<std::size_t>(v)].stamp = -1;
     stamp_base_ = 0;
   }
   // On every exit -- including a round-cap throw mid-phase -- advance the
@@ -992,9 +793,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
       static_cast<std::size_t>(std::clamp(max_rounds, 0, 1 << 12)) + 1);
   for (Arena& arena : arenas_) {
     for (auto& words : arena.words) words.clear();
-    for (auto& t : arena.touched) t.clear();
-    for (auto& t : arena.touched_recv) t.clear();
-    std::fill(arena.touch_overflow.begin(), arena.touch_overflow.end(), 0);
   }
   in_idx_ = 0;  // begin (round 0) writes arenas_[1]; round 1 reads it
   program_ = &program;
@@ -1010,12 +808,9 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
 
   // Offer the phase to the installed transport executor, AFTER the
   // per-phase reset above (a forked worker inherits exactly this canonical
-  // phase-start state) and BEFORE the delivery-mode decisions below (a
-  // distributed phase disables the touched index: remote workers cannot
-  // contribute to it, so grouped delivery would silently miss their
-  // messages). Fault-armed phases are never offered -- the injection hooks
-  // run inside shard sweeps, which a remote worker executes out of the
-  // coordinator's sight.
+  // phase-start state). Fault-armed phases are never offered -- the
+  // injection hooks run inside shard sweeps, which a remote worker executes
+  // out of the coordinator's sight.
   PhaseExecutor* exec = phase_executor_;
   const bool dist = exec != nullptr && !fault_armed_ &&
                     exec->begin_phase(*this, program);
@@ -1033,14 +828,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     }
   } exec_guard{this, dist ? exec : nullptr, &program};
 
-  // Begin() has no message history to predict from; record (capped), so a
-  // halt-heavy begin can hand round 1 a grouped delivery. touch_idx_ok_
-  // gates the whole index: a slot space past 32 bits delivers by port scan.
-  // An armed fault plan forces epoch-scan delivery for the whole phase:
-  // injected drops rewind a slot's epoch stamp, which the grouped
-  // (index-driven) path would not re-read.
-  record_touched_ = !dist && touch_idx_ok_ && !fault_armed_;
-  arenas_[1].indexed = record_touched_;
   std::uint64_t words_before = stats_.words;
   std::uint64_t msgs_before = stats_.messages;
   if (dist) {
@@ -1063,19 +850,6 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     in_idx_ = 1 - in_idx_;
     Arena& out = arenas_[1 - in_idx_];
     for (auto& words : out.words) words.clear();
-    for (auto& t : out.touched) t.clear();
-    for (auto& t : out.touched_recv) t.clear();
-    std::fill(out.touch_overflow.begin(), out.touch_overflow.end(), 0);
-    // Record this round's sends only if the previous round's message
-    // volume was sparse relative to the CURRENT live port space -- volume
-    // changes slowly round over round, and a wrong guess costs one round of
-    // port-scan delivery, already bounded by the compacted live list.
-    std::uint64_t total_ports = 0;
-    for (const Shard& sh : shards_) total_ports += sh.live_ports;
-    const std::uint64_t last_msgs = stats_.messages - msgs_before;
-    record_touched_ = !dist && touch_idx_ok_ && !fault_armed_ &&
-                      last_msgs * kTouchRecordFactor <= total_ports;
-    out.indexed = record_touched_;
     // Delivery-boundary integrity check: what this round is about to
     // deliver must match what last round's senders recorded in the lane.
     if (lane_valid_) verify_delivery_checksum();
@@ -1423,21 +1197,10 @@ Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
     for (const auto& w : arena.words) {
       mb.payload_bytes += w.capacity() * sizeof(std::int64_t);
     }
-    for (const auto& t : arena.touched) {
-      mb.index_bytes += t.capacity() * sizeof(std::uint32_t);
-    }
-    for (const auto& t : arena.touched_recv) {
-      mb.index_bytes += t.capacity() * sizeof(V);
-    }
-    mb.index_bytes += arena.touch_overflow.capacity();
   }
   mb.vertex_bytes += halted_.capacity();
-  mb.vertex_bytes +=
-      static_cast<std::uint64_t>(g_->num_vertices()) * sizeof(RecvMeta);
   for (const Shard& sh : shards_) {
     mb.index_bytes += sh.live.capacity() * sizeof(V);
-    mb.index_bytes += sh.receivers.capacity() * sizeof(V);
-    mb.index_bytes += sh.grouped.capacity() * sizeof(std::int64_t);
     for (const auto& s : sh.scratch) {
       mb.index_bytes += s.capacity() * sizeof(std::int64_t);
     }

@@ -41,16 +41,14 @@
 // times" holds for the headline presets as a whole, but most individual
 // sub-phases (layer peeling, greedy sweeps, refinement tails) spend the
 // bulk of their rounds with a small, shrinking live set. The executor
-// therefore drives each round by the live set and the messages actually
-// written: every shard keeps a compacted, canonically ordered live-vertex
-// list (maintained incrementally as vertices halt, not re-derived by an
-// O(n) flag sweep), and senders record the slots they write into per-shard
-// touched-slot lists so a receiver's inbox can be assembled from exactly
-// the cells written for it. Per-round cost is O(live + messages) instead of
-// O(n + sum_{live} deg). Outputs, RunStats and the PhaseLog are checked
-// bit-identical against the tests-only reference executor
-// (tests/reference_executor.hpp), a full sweep over an ordered message map
-// that shares none of this delivery code.
+// therefore drives each round by the live set: every shard keeps a
+// compacted, canonically ordered live-vertex list (maintained incrementally
+// as vertices halt, not re-derived by an O(n) flag sweep), and a live
+// vertex's inbox is the epoch-fresh cells among its own ports. Per-round
+// cost is O(sum_{live} deg) instead of O(n + 2m). Outputs, RunStats and the
+// PhaseLog are checked bit-identical against the tests-only reference
+// executor (tests/reference_executor.hpp), a full sweep over an ordered
+// message map that shares none of this delivery code.
 //
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
@@ -521,14 +519,13 @@ class PhaseExecutor {
 /// thread. All completed phases are appended to the session PhaseLog.
 class Runtime {
  public:
-  /// `shards` <= 0 picks the thread-default (set_default_shards); shard
-  /// counts above n are clamped. Any shard count yields bit-identical
-  /// RunStats and program outputs. `inline_shards` keeps the same shard
-  /// decomposition but spawns NO worker threads: multi-shard sweeps run
-  /// sequentially on the calling thread (bit-identical, per the
-  /// shard-determinism contract). Required for sessions that will host the
-  /// distributed transport -- its fork()-based backend must not fork a
-  /// multithreaded process.
+  /// `shards` <= 0 means 1 shard; shard counts above n are clamped. Any
+  /// shard count yields bit-identical RunStats and program outputs.
+  /// `inline_shards` keeps the same shard decomposition but spawns NO
+  /// worker threads: multi-shard sweeps run sequentially on the calling
+  /// thread (bit-identical, per the shard-determinism contract). Required
+  /// for sessions that will host the distributed transport -- its
+  /// fork()-based backend must not fork a multithreaded process.
   explicit Runtime(const Graph& g, int shards = 0, bool inline_shards = false);
   ~Runtime();
   Runtime(const Runtime&) = delete;
@@ -596,9 +593,8 @@ class Runtime {
   /// is a pure hash of (seed, salt, kind, phase, round, shard), and the
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
-  /// While a plan is armed grouped delivery is disabled (delivery must
-  /// re-read the epoch stamps the injector rewinds); outputs are unchanged,
-  /// per the bit-identity contract. Pass a default-constructed plan to
+  /// A drop un-sends a message by rewinding its slot's epoch stamp, which
+  /// the port-scan delivery re-reads. Pass a default-constructed plan to
   /// clear; sessions handed across jobs must clear it (see ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
     fault_plan_ = std::move(plan);
@@ -679,15 +675,9 @@ class Runtime {
   /// operator new and count only allocations made with this flag set.
   static bool in_machinery();
 
-  /// Per-thread default shard count used by Runtime(g) construction in the
-  /// algorithm drivers (thread-local so concurrent drivers with different
-  /// Knobs::shards cannot contaminate each other). Values < 1 become 1.
-  static void set_default_shards(int shards);
-  static int default_shards();
-
   /// Heap bytes of all session state, split the way the per-slot budget in
   /// DESIGN.md ("Memory layout & giant graphs") is drawn up: the
-  /// slot-indexed steady state (arenas + delivery indexes + per-vertex
+  /// slot-indexed steady state (arenas + per-shard workspaces + per-vertex
   /// bookkeeping) is bounded per slot independent of traffic, while
   /// payload_bytes is the high-water capacity of the double-buffered
   /// message-word buffers -- proportional to the widest round's traffic:
@@ -696,8 +686,8 @@ class Runtime {
   struct MemoryBreakdown {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
-    std::uint64_t index_bytes = 0;    ///< touched/receivers/grouped/live/...
-    std::uint64_t vertex_bytes = 0;   ///< recv_meta + halted (per-vertex)
+    std::uint64_t index_bytes = 0;    ///< live lists, scratch, inboxes
+    std::uint64_t vertex_bytes = 0;   ///< halted flags (per-vertex)
     std::uint64_t total() const {
       return arena_bytes + payload_bytes + index_bytes + vertex_bytes;
     }
@@ -707,7 +697,7 @@ class Runtime {
   MemoryBreakdown memory_breakdown() const;
 
   /// Heap bytes of all session state (mailbox arenas, payload buffers,
-  /// delivery indexes, per-shard workspaces, halted/live bookkeeping), by
+  /// per-shard workspaces, halted/live bookkeeping), by
   /// capacity. Together with Graph::memory_bytes() this is the number the
   /// scale benches divide by num_slots() for the bytes-per-slot budget.
   std::uint64_t memory_bytes() const { return memory_breakdown().total(); }
@@ -723,7 +713,7 @@ class Runtime {
 
   /// What a dispatched sweep runs on each shard. kInit is issued once, from
   /// the constructor: every shard default-initializes ITS OWN slice of the
-  /// slot- and vertex-indexed arrays, so on NUMA machines the backing pages
+  /// slot-indexed arena arrays, so on NUMA machines the backing pages
   /// are first touched -- hence placed -- by the thread that will use them.
   /// (The arrays are allocated with make_unique_for_overwrite precisely so
   /// the allocating main thread does not fault the pages in first.)
@@ -750,29 +740,6 @@ class Runtime {
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
     std::vector<std::vector<std::int64_t>> words;  // one per shard
-    /// Sender-driven delivery index: the inbox slots each sending shard
-    /// wrote this round, as one flat list per sender so recording costs a
-    /// single bounds-checked append on the send path (receivers filter by their contiguous slot range, which
-    /// vertex-contiguous shards get for free). Recording stops at the
-    /// runtime's touch cap -- the matching overflow flag forces port-scan
-    /// delivery, which is the right mode at such message volumes anyway.
-    /// Cleared per round; capacity persists. Entries are 32-bit slot ids:
-    /// recording is gated on num_slots() fitting 32 bits (a graph past
-    /// that -- half a terabyte of arenas -- delivers by port scan), which
-    /// halves the index's footprint on every graph this box can hold.
-    std::vector<std::vector<std::uint32_t>> touched;
-    /// Receiver vertex of each touched slot, recorded by the sender (which
-    /// reads it from its own cached adjacency row): the delivery gather
-    /// filters and groups by receiver without ever touching the 2m-sized
-    /// slot-owner table, whose scattered lookups would cost a cache miss
-    /// per message.
-    std::vector<std::vector<V>> touched_recv;
-    std::vector<std::uint8_t> touch_overflow;  // one per sender shard
-    /// Whether senders recorded into `touched` this round. run_phase turns
-    /// recording off for rounds whose previous round was message-dense --
-    /// the port scan will win there anyway, so the send path should not
-    /// pay a single instruction for the index.
-    bool indexed = false;
   };
 
   /// Mutable per-shard executor state. Everything a concurrent shard writes
@@ -781,8 +748,7 @@ class Runtime {
   struct Shard {
     V first = 0, last = 0;  // vertex range [first, last)
     /// Slot range of the shard's vertices (contiguous because the vertex
-    /// range is): its size is the exact upper bound on messages the shard
-    /// can receive per round, used to pre-size the grouped workspace.
+    /// range is): the slice of the arena arrays this shard first-touches.
     std::int64_t slot_lo = 0, slot_hi = 0;
     Inbox inbox;
     std::array<std::vector<std::int64_t>, Ctx::kNumScratch> scratch;
@@ -806,43 +772,27 @@ class Runtime {
     /// sweep that runs step(v) also decides v's survival. Never re-derived
     /// from the halted flags between rounds.
     std::vector<V> live;
-    /// Sum of degree(v) over `live`: the cost of a receiver-driven port
-    /// scan, maintained alongside the list so delivery can pick the
-    /// cheaper assembly mode per round.
-    std::uint64_t live_ports = 0;
-    /// Grouped-delivery workspace: touched slots destined to this shard,
-    /// grouped contiguously by receiving vertex (first-touch order), and
-    /// the distinct receivers. Capacity persists across rounds/phases.
-    /// Bounded by the total touch cap, NOT the shard's slot range: grouped
-    /// delivery only runs when every sender stayed under its cap, so the
-    /// entry count can never exceed shards * touch_cap_ -- reserving the
-    /// full slot range would cost 8 bytes per slot for a workspace that by
-    /// construction never fills past a fraction of it.
-    std::vector<std::int64_t> grouped;
-    std::vector<V> receivers;
   };
 
   int shard_of(V v) const { return static_cast<int>(v / chunk_); }
   /// First-touch initialization of the shard's slices of the slot-indexed
-  /// arena arrays and vertex-indexed delivery metadata (Job::kInit).
+  /// arena arrays (Job::kInit).
   void init_shard(int shard);
   /// The one send path: `payload` to ports [first, first + count) of
   /// `from`. Port, cap and offset checks, the payload copy and the message
   /// counters run once per call; each slot then gets its epoch stamp (the
   /// one-send-per-edge check, in ascending port order), an off/len pointing
-  /// at the shared copy, and its dist capture, checksum lane and touched
-  /// entry. Ctx::send is count 1, Ctx::broadcast the whole row.
+  /// at the shared copy, its dist capture and its checksum lane. Ctx::send
+  /// is count 1, Ctx::broadcast the whole row.
   void send_ports(int shard, V from, int first, int count,
                   std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
   /// Runs begin() (round 0) or step() for every live vertex of one shard.
   void run_shard_phase(int shard, VertexProgram& program, bool is_begin);
-  /// Step sweep: live-list driven, with per-round choice between
-  /// sender-driven grouped delivery and a live port scan.
+  /// Step sweep over the shard's live list: each live vertex's inbox is the
+  /// epoch-fresh cells of its own ports, in port order, and the list is
+  /// compacted in place as vertices halt.
   void sparse_step(int shard, VertexProgram& program);
-  /// Assembles vertex v's inbox from its contiguous touched-slot group
-  /// (sorted into canonical port order in place).
-  void assemble_grouped_inbox(int shard, V v, const Arena& in, Inbox& inbox);
   /// Folds per-shard counters into stats_/live_ (serial, canonical order)
   /// and rethrows the first shard error.
   void merge_shards();
@@ -873,36 +823,12 @@ class Runtime {
   /// Cached g_->num_slots(): sizes the raw arena arrays (which, unlike
   /// vectors, do not carry their own length).
   std::int64_t slots_ = 0;
-  /// Whether slot ids fit the 32-bit touched index (num_slots() <= 2^32-1);
-  /// independent of the Graph's own layout choice, so a forced-wide small
-  /// graph still exercises grouped delivery.
-  bool touch_idx_ok_ = true;
   std::vector<Shard> shards_;
   Arena arenas_[2];
   int in_idx_ = 0;  // arenas_[in_idx_] feeds this round's inboxes
   std::vector<std::uint8_t> halted_;
   V live_ = 0;
   int round_ = 0;
-  /// Per-sender-shard cap on touched-slot recording per round: beyond it a
-  /// round is dense enough that grouped delivery would lose to the port
-  /// scan, so the sender stops paying for the index and flags overflow.
-  std::size_t touch_cap_ = 0;
-  /// Round-granular recording gate, decided by run_phase from the previous
-  /// round's message count against the current live port space. False on
-  /// message-dense rounds, where send_ports skips the index behind a single
-  /// predictable branch.
-  bool record_touched_ = true;
-  /// Per-vertex grouped-delivery bookkeeping, written only by the owning
-  /// shard. Stamped with the delivery round (stamp_base_ + round_ - 1) so
-  /// no per-round or per-phase clear is needed, mirroring the arena
-  /// epochs. One struct (not three arrays) so the gather's scattered
-  /// accesses touch one cache line per vertex, not three.
-  struct RecvMeta {
-    std::int32_t stamp = -1;
-    std::uint32_t count = 0;
-    std::uint32_t off = 0;
-  };
-  std::unique_ptr<RecvMeta[]> recv_meta_;  // n entries, first-touch (kInit)
   /// Session-round base of the current phase: epoch stamps are
   /// stamp_base_ + round_. Advanced past every stamp the finished phase
   /// wrote; wraps (with a full epoch reset) long before int32 overflow.
@@ -941,8 +867,7 @@ class Runtime {
   /// sweeps on behalf of the transport, dist_capture_ makes send_ports also
   /// record, per sending shard, every inbox slot OUTSIDE the worker's own
   /// slot range [dist_slot_lo_, dist_slot_hi_) -- the messages that must
-  /// cross the wire to their owning worker. Slot ids are i64 (the capture
-  /// list, unlike the touched index, must work on any graph size).
+  /// cross the wire to their owning worker.
   PhaseExecutor* phase_executor_ = nullptr;
   bool dist_capture_ = false;
   std::int64_t dist_slot_lo_ = 0, dist_slot_hi_ = 0;
@@ -958,8 +883,6 @@ class Runtime {
   bool stopping_ = false;
   VertexProgram* program_ = nullptr;
   std::vector<std::thread> threads_;
-
-  static thread_local int default_shards_;
 };
 
 /// RAII aggregate span in a session log: drivers wrap composed procedures
@@ -977,25 +900,6 @@ class PhaseSpan {
  private:
   PhaseLog* log_;
   std::size_t idx_;
-};
-
-/// Scoped override of the calling thread's default shard count; `shards`
-/// <= 0 leaves the current default untouched (no-op guard).
-class ScopedDefaultShards {
- public:
-  explicit ScopedDefaultShards(int shards)
-      : previous_(Runtime::default_shards()), active_(shards > 0) {
-    if (active_) Runtime::set_default_shards(shards);
-  }
-  ~ScopedDefaultShards() {
-    if (active_) Runtime::set_default_shards(previous_);
-  }
-  ScopedDefaultShards(const ScopedDefaultShards&) = delete;
-  ScopedDefaultShards& operator=(const ScopedDefaultShards&) = delete;
-
- private:
-  int previous_;
-  bool active_;
 };
 
 /// Scoped install of a session's phase-boundary interrupt hook, cleared on

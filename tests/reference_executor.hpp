@@ -12,9 +12,9 @@
 //     stamped slot's payload into an ordered std::map<slot, payload>;
 //   * the next step sweep builds each inbox from that map (ascending slot
 //     == ascending port).
-// It never reads the executor's live lists, the touched index, the grouped
-// workspace or any delivery heuristic, so a delivery bug in the production
-// executor cannot cancel out against the baseline.
+// It shares neither the executor's live lists nor its step sweep, so a
+// delivery bug in the production executor cannot cancel out against the
+// baseline.
 #pragma once
 
 #include <cstdint>

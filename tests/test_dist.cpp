@@ -23,9 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cole_vishkin.hpp"
 #include "common/check.hpp"
 #include "common/wire.hpp"
 #include "core/api.hpp"
+#include "core/mis.hpp"
+#include "core/simple_arbdefective.hpp"
+#include "decomp/orientations.hpp"
 #include "dist/dist.hpp"
 #include "dist/transport.hpp"
 #include "graph/arboricity.hpp"
@@ -342,6 +346,71 @@ TEST(DistIdentity, DeclaredCongestWordsMatchRunStatsTotals) {
   EXPECT_LE(declared_words, got.total.words);
   EXPECT_LE(declared_messages, got.total.messages);
   EXPECT_GT(declared_words, 0u);
+}
+
+TEST(DistIdentity, ProgramsOutsideThePresetsShipTheirVertexState) {
+  // Simple-Arbdefective, Cole-Vishkin and the MIS color sweep are
+  // dist-capable, but no preset pipeline runs them, so only a direct call
+  // exercises their save/load_vertex_state hooks. Each phase must run on
+  // the workers and leave outputs and RunStats equal to the in-process run.
+  // Loopback workers share the coordinator's program object, so only the
+  // fork backend catches a load hook that drops a value.
+  const auto expect_distributed = [](const DistSession& session,
+                                     const std::string& label) {
+    int seen = 0;
+    for (const PhaseWireMetrics& m : session.metrics()) {
+      if (m.label != label) continue;
+      ++seen;
+      EXPECT_TRUE(m.distributed) << "phase '" << label << "' ran locally";
+      EXPECT_GT(m.wire_bytes, 0u) << label;
+    }
+    EXPECT_EQ(seen, 1) << label;
+  };
+  const Graph g = planted_arboricity(160, 3, 23);
+  const CompleteOrientationResult ori = complete_orientation(g, 3);
+  const Graph ring = cycle_graph(97);
+
+  sim::Runtime arb_local(g, 2, /*inline_shards=*/true);
+  const SimpleArbResult arb_want = simple_arbdefective(arb_local, ori.sigma, 3);
+  sim::Runtime cv_local(ring, 2, /*inline_shards=*/true);
+  const RingColoringResult cv_want = cole_vishkin_ring(cv_local);
+  sim::Runtime mis_local(g, 2, /*inline_shards=*/true);
+  const MisResult mis_want = deterministic_mis(mis_local, 3);
+
+  for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+    SCOPED_TRACE(dist::backend_name(backend));
+    DistConfig cfg;
+    cfg.workers = 2;
+    cfg.backend = backend;
+    {
+      sim::Runtime rt(g, 2, /*inline_shards=*/true);
+      DistSession session(rt, cfg);
+      const SimpleArbResult got = simple_arbdefective(rt, ori.sigma, 3);
+      EXPECT_EQ(got.colors, arb_want.colors);
+      EXPECT_TRUE(got.stats == arb_want.stats);
+      expect_distributed(session, "simple-arbdefective");
+    }
+    {
+      sim::Runtime rt(ring, 2, /*inline_shards=*/true);
+      DistSession session(rt, cfg);
+      const RingColoringResult got = cole_vishkin_ring(rt);
+      EXPECT_TRUE(is_legal_coloring(ring, got.colors));
+      EXPECT_EQ(got.colors, cv_want.colors);
+      EXPECT_TRUE(got.stats == cv_want.stats);
+      expect_distributed(session, "cole-vishkin");
+    }
+    {
+      sim::Runtime rt(g, 2, /*inline_shards=*/true);
+      DistSession session(rt, cfg);
+      const MisResult got = deterministic_mis(rt, 3);
+      EXPECT_EQ(got.in_mis, mis_want.in_mis);
+      EXPECT_EQ(got.colors_used, mis_want.colors_used);
+      EXPECT_TRUE(got.total == mis_want.total);
+      EXPECT_TRUE(got.phases == mis_want.phases);
+      expect_distributed(session, "mis-color-sweep");
+    }
+    expect_no_zombie_children();
+  }
 }
 
 // ---------------------------------------------------------------------------

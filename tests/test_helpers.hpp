@@ -40,8 +40,8 @@ class FloodAll : public dvc::sim::VertexProgram {
 /// to its receiver's transcript as {round, port, width, words...}. Vertices
 /// fall silent on some rounds and halt on a staggered schedule, so the
 /// transcripts also cover quiet senders and messages to halted vertices.
-/// `sparse` lets a vertex speak only one round in 32, so delivery runs
-/// from the senders' touched-slot index instead of the port scan.
+/// `sparse` lets a vertex speak only one round in 32, so most cells the
+/// delivery sweep scans are stale.
 class Chatter : public dvc::sim::VertexProgram {
  public:
   using Transcripts = std::vector<std::vector<std::int64_t>>;

@@ -50,7 +50,6 @@ TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
   const Graph g = planted_arboricity(1 << 10, 4, 7);
   for (const int shards : {1, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const sim::ScopedDefaultShards guard(shards);
 
     // One session carries all three phases...
     sim::Runtime rt(g, shards);
@@ -59,11 +58,15 @@ TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
     const ReduceResult red_shared =
         kw_reduce(rt, def_shared.colors, def_shared.palette, g.max_degree());
 
-    // ...vs the Graph shims, which open a fresh session per phase.
-    const HPartitionResult hp_fresh = h_partition(g, 4);
-    const DefectiveResult def_fresh = kuhn_defective(g, g.max_degree(), 2);
-    const ReduceResult red_fresh =
-        kw_reduce(g, def_fresh.colors, def_fresh.palette, g.max_degree());
+    // ...vs a fresh session per phase, at the same shard count.
+    sim::Runtime hp_rt(g, shards);
+    const HPartitionResult hp_fresh = h_partition(hp_rt, 4);
+    sim::Runtime def_rt(g, shards);
+    const DefectiveResult def_fresh =
+        kuhn_defective(def_rt, g.max_degree(), 2);
+    sim::Runtime red_rt(g, shards);
+    const ReduceResult red_fresh = kw_reduce(
+        red_rt, def_fresh.colors, def_fresh.palette, g.max_degree());
 
     EXPECT_EQ(hp_shared.level, hp_fresh.level);
     EXPECT_TRUE(same_stats(hp_shared.stats, hp_fresh.stats));
@@ -130,11 +133,10 @@ TEST(Runtime, PhasesAfterTheFirstAllocateNothing) {
 
 TEST(Runtime, WarmRoundsOfTheFirstPhaseAllocateNothing) {
   // The constructor reserves every delivery-path buffer to its exact upper
-  // bound (live list and receivers to the shard's vertex range, the grouped
-  // workspace to the shard's slot count, the inbox to the shard's max
-  // degree), so even within the FIRST phase of a cold session only the
-  // flood's first two rounds -- which warm the double-buffered word and
-  // touched arenas -- may allocate; from round 3 on the counter is frozen.
+  // bound (the live list to the shard's vertex range, the inbox to the
+  // shard's max degree), so even within the FIRST phase of a cold session
+  // only the flood's first two rounds -- which warm the double-buffered
+  // word arenas -- may allocate; from round 3 on the counter is frozen.
   const Graph g = random_near_regular(2048, 8, 5);
   constexpr int kRounds = 12;
   for (const int shards : {1, 4}) {
@@ -257,12 +259,12 @@ namespace adversarial {
 /// Halt-heavy adversarial program: ~90% of vertices broadcast once and halt
 /// in begin(); the survivors keep exchanging on two ports with staggered
 /// halts, so the live list compacts a little every round. Round 1 delivers
-/// the dense begin() broadcasts (port-scan mode) while later rounds carry
-/// only the survivors' trickle (grouped sender-driven mode), exercising
-/// both delivery modes -- plus messages addressed to already-halted
-/// vertices, which must be dropped -- in one phase. Each vertex folds its
-/// inbox into an order-dependent per-vertex digest so tests can compare the
-/// exact delivered contents and their port order, not just counters.
+/// the dense begin() broadcasts -- most of them addressed to vertices that
+/// already halted, which must be dropped -- while later rounds carry only
+/// the survivors' trickle through a live list that shrinks under the
+/// delivery sweep. Each vertex folds its inbox into an order-dependent
+/// per-vertex digest so tests can compare the exact delivered contents and
+/// their port order, not just counters.
 class HaltHeavy : public sim::VertexProgram {
  public:
   explicit HaltHeavy(std::vector<std::uint64_t>& digest) : digest_(digest) {}
@@ -290,12 +292,12 @@ class HaltHeavy : public sim::VertexProgram {
   std::vector<std::uint64_t>& digest_;
 };
 
-/// Grouped-delivery workload: every vertex stays live for `rounds` rounds,
-/// but only 1-in-64 vertices send (one rotating port each round), so
-/// messages are far sparser than the live port space and the executor's
-/// sender-driven grouped assembly is guaranteed to engage (under any
-/// reasonable grouped-vs-scan threshold). Receivers fold their inboxes into
-/// an order-dependent digest so the test compares exact delivered contents.
+/// Few-senders workload: every vertex stays live for `rounds` rounds, but
+/// only 1-in-64 vertices send (one rotating port each round), so nearly
+/// every port the delivery sweep scans holds a stale cell and a fresh
+/// message must still be found in port order among them (the shape of
+/// kw-reduce). Receivers fold their inboxes into an order-dependent digest
+/// so the test compares exact delivered contents.
 class FewSenders : public sim::VertexProgram {
  public:
   FewSenders(int rounds, std::vector<std::uint64_t>& digest)
@@ -330,9 +332,9 @@ class FewSenders : public sim::VertexProgram {
 /// on a staggered schedule -- a survivor sends only on its 1-in-`period`
 /// rounds, the way the pipeline's greedy sweeps let one color class speak
 /// per round. This is the shape of the layer-peeling and refinement tails:
-/// a small live frontier inside a large graph, delivered by grouped
-/// assembly while the live list compacts. Receivers fold their inboxes
-/// into an order-dependent digest.
+/// a small live frontier inside a large graph, whose delivery sweep visits
+/// only the compacted live list. Receivers fold their inboxes into an
+/// order-dependent digest.
 class TailExchange : public sim::VertexProgram {
  public:
   TailExchange(int sparsity, int fanout, int period, int rounds,
@@ -385,20 +387,20 @@ TEST(Runtime, HaltHeavyProgramMatchesTheReferenceAtAnyShardCount) {
   EXPECT_LE(base.active_per_round.front(), g.num_vertices() / 8);
 }
 
-TEST(Runtime, GroupedDeliveryMatchesTheReferenceAtAnyShardCount) {
+TEST(Runtime, FewSendersMatchesTheReferenceAtAnyShardCount) {
   const Graph g = random_near_regular(1 << 11, 8, 43);
   constexpr int kRounds = 12;
   const sim::RunStats base = expect_matches_reference(
       g, kRounds + sim::kRoundCapSlack, [](std::vector<std::uint64_t>& d) {
         return adversarial::FewSenders(kRounds, d);
       });
-  // The workload delivers something (or the grouped path is vacuous).
+  // The workload delivers something (or the comparison is vacuous).
   EXPECT_GT(base.messages, 0u);
 }
 
 TEST(Runtime, TailExchangeMatchesTheReferenceAtAnyShardCount) {
   // 1-in-32 live, 2-port staggered frontier: the live list compacts to a
-  // thin tail that grouped delivery serves.
+  // thin tail, and only the tail's ports are scanned.
   const Graph g = random_near_regular(1 << 13, 16, 7);
   constexpr int kRounds = 64;
   const sim::RunStats base = expect_matches_reference(
@@ -693,9 +695,8 @@ TEST(Broadcast, EqualsAscendingPerPortSendsAtAnyShardCount) {
       sim::Runtime ports_rt(g, shards);
       bcast_rt.set_congest_words(3);
       ports_rt.set_congest_words(3);
-      // Dense phases deliver by port scan, the sparse one from the
-      // touched-slot index; later phases run on warm arenas and advanced
-      // epoch stamps.
+      // Dense phases and a sparse one (most scanned cells stale); later
+      // phases run on warm arenas and advanced epoch stamps.
       for (const auto& [rounds, sparse] :
            {std::pair{6, false}, std::pair{40, true}, std::pair{4, false}}) {
         SCOPED_TRACE("rounds=" + std::to_string(rounds));
