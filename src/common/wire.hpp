@@ -1,5 +1,5 @@
 // Shared flat-buffer serialization: little-endian encode/decode, the
-// fold-of-all-bytes checksum, and the framed wire protocol the distributed
+// word-wise fold checksum, and the framed wire protocol the distributed
 // transport speaks.
 //
 // Hoisted out of sim/runtime.cpp (where the checkpoint format grew them) so
@@ -21,13 +21,15 @@
 //       20   len  payload
 //   20+len     8  checksum   checksum64(kFrameMagic, header+payload)
 //
-// The trailing checksum is the same XOR-style digest_mix fold the checkpoint
-// trailer uses: any flipped bit or truncation anywhere in the frame changes
-// it, and decoding raises dvc::corruption_error -- never silent damage.
+// The trailing checksum is the same digest_mix fold the checkpoint trailer
+// uses: any flipped bit, truncation or extension anywhere in the frame
+// changes it or its length check, and decoding raises dvc::corruption_error
+// -- never silent damage.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,33 +39,92 @@
 
 namespace dvc::wire {
 
+namespace detail {
+
+inline constexpr bool kLittleEndian =
+    std::endian::native == std::endian::little;
+
+/// Reads `n` <= 8 bytes at `p` as a little-endian integer (zero-padded).
+inline std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, p, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  }
+  return v;
+}
+
+/// Writes the low `n` <= 8 bytes of `v` little-endian at `p`.
+inline void store_le(std::uint8_t* p, std::uint64_t v, std::size_t n) {
+  if constexpr (kLittleEndian) {
+    std::memcpy(p, &v, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Order-dependent fold of a byte stream under `seed`; the checksum idiom
-/// shared by the checkpoint trailer and the frame trailer.
+/// shared by the checkpoint trailer and the frame trailer. Folds one
+/// little-endian 8-byte word per digest_mix step, then the zero-padded tail
+/// word, then the byte count (so appending zero bytes still changes the
+/// sum). Every step is a bijection of the running hash for a fixed word and
+/// of the word for a fixed hash, so any single changed word changes the
+/// result.
 inline std::uint64_t checksum64(std::uint64_t seed,
                                 std::span<const std::uint8_t> bytes) {
   std::uint64_t h = seed;
-  for (const std::uint8_t b : bytes) h = dvc::detail::digest_mix(h, b);
-  return h;
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    h = dvc::detail::digest_mix(h, detail::load_le(bytes.data() + i, 8));
+  }
+  if (i < n) {
+    h = dvc::detail::digest_mix(h, detail::load_le(bytes.data() + i, n - i));
+  }
+  return dvc::detail::digest_mix(h, n);
 }
 
 /// Little-endian append-only encoder for flat buffers.
 struct ByteWriter {
   std::vector<std::uint8_t> buf;
   void u8(std::uint8_t v) { buf.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u16(std::uint16_t v) { le(v, 2); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
   void i32(std::int32_t v) { u32(std::bit_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// Appends `words` as consecutive little-endian i64s (one bulk copy on a
+  /// little-endian host).
+  void i64s(std::span<const std::int64_t> words) {
+    if constexpr (detail::kLittleEndian) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
+      buf.insert(buf.end(), p, p + words.size_bytes());
+    } else {
+      for (const std::int64_t w : words) i64(w);
+    }
+  }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf.insert(buf.end(), s.begin(), s.end());
+  }
+  /// Overwrites the u32 at byte offset `at` (a length or count written as a
+  /// placeholder earlier).
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    detail::store_le(buf.data() + at, v, 4);
+  }
+
+ private:
+  // Grow, then store in place: inserting from a local byte array trips a
+  // false -Wstringop-overflow in GCC 12 after buf.clear().
+  void le(std::uint64_t v, std::size_t n) {
+    const std::size_t at = buf.size();
+    buf.insert(buf.end(), n, 0);
+    detail::store_le(buf.data() + at, v, n);
   }
 };
 
@@ -86,26 +147,23 @@ struct ByteReader {
     need(1);
     return buf[pos++];
   }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(static_cast<std::uint16_t>(buf[pos++]) << (8 * i));
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[pos++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[pos++]) << (8 * i);
-    return v;
-  }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
   std::int32_t i32() { return std::bit_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
+  /// Fills `out` with the next out.size() little-endian i64s (one bounds
+  /// check and one bulk copy on a little-endian host).
+  void i64s(std::span<std::int64_t> out) {
+    need(out.size_bytes());
+    if (out.empty()) return;
+    if constexpr (detail::kLittleEndian) {
+      std::memcpy(out.data(), buf.data() + pos, out.size_bytes());
+      pos += out.size_bytes();
+    } else {
+      for (std::int64_t& w : out) w = i64();
+    }
+  }
   std::string str() {
     const std::uint32_t len = u32();
     need(len);
@@ -113,13 +171,21 @@ struct ByteReader {
     pos += len;
     return s;
   }
+
+ private:
+  std::uint64_t le(std::size_t n) {
+    need(n);
+    const std::uint64_t v = detail::load_le(buf.data() + pos, n);
+    pos += n;
+    return v;
+  }
 };
 
 // ---------------------------------------------------------------------------
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 1;
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it
@@ -133,21 +199,39 @@ struct FrameHeader {
   std::uint32_t payload_len = 0;
 };
 
+/// Starts a frame in place: replaces `w`'s contents with a header whose
+/// length field is a placeholder. Append the payload to `w`, then call
+/// end_frame -- the payload is written once, never copied into a frame.
+inline void begin_frame(ByteWriter& w, std::uint8_t type, std::int32_t phase,
+                        std::int32_t round) {
+  w.buf.assign(kFrameHeaderBytes, 0);  // reserved and length stay zero
+  std::uint8_t* p = w.buf.data();
+  detail::store_le(p, kFrameMagic, 4);
+  p[4] = kFrameVersion;
+  p[5] = type;
+  detail::store_le(p + 8, std::bit_cast<std::uint32_t>(phase), 4);
+  detail::store_le(p + 12, std::bit_cast<std::uint32_t>(round), 4);
+}
+
+/// Completes a frame begun by begin_frame: patches the payload length and
+/// appends the checksum over header + payload.
+inline void end_frame(ByteWriter& w) {
+  const std::size_t payload_len = w.buf.size() - kFrameHeaderBytes;
+  DVC_ENSURE(payload_len <= kFrameMaxPayload,
+             "frame payload exceeds the wire format's sanity cap");
+  w.patch_u32(16, static_cast<std::uint32_t>(payload_len));
+  w.u64(checksum64(kFrameMagic, w.buf));
+}
+
 /// Encode a complete frame: header, payload, trailing checksum.
 inline std::vector<std::uint8_t> encode_frame(
     std::uint8_t type, std::int32_t phase, std::int32_t round,
     std::span<const std::uint8_t> payload) {
   ByteWriter w;
   w.buf.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
-  w.u32(kFrameMagic);
-  w.u8(kFrameVersion);
-  w.u8(type);
-  w.u16(0);
-  w.i32(phase);
-  w.i32(round);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  begin_frame(w, type, phase, round);
   w.buf.insert(w.buf.end(), payload.begin(), payload.end());
-  w.u64(checksum64(kFrameMagic, w.buf));
+  end_frame(w);
   return std::move(w.buf);
 }
 
@@ -180,8 +264,8 @@ inline FrameHeader decode_frame_header(std::span<const std::uint8_t> hdr) {
 }
 
 /// Validate a complete frame buffer (header + payload + trailer) and return
-/// a view of its payload. Throws corruption_error on truncation, a bad
-/// header, or a checksum mismatch.
+/// a view of its payload. Throws corruption_error on truncation, bytes past
+/// the trailer, a bad header, or a checksum mismatch.
 inline std::span<const std::uint8_t> frame_payload(
     std::span<const std::uint8_t> frame) {
   const FrameHeader h = decode_frame_header(frame);
@@ -189,6 +273,10 @@ inline std::span<const std::uint8_t> frame_payload(
       kFrameHeaderBytes + h.payload_len + kFrameTrailerBytes;
   if (frame.size() < want) {
     throw corruption_error("frame truncated before its declared end", "", -1,
+                           -1, want, frame.size());
+  }
+  if (frame.size() > want) {
+    throw corruption_error("frame has bytes past its checksum trailer", "", -1,
                            -1, want, frame.size());
   }
   const std::size_t body = kFrameHeaderBytes + h.payload_len;

@@ -91,12 +91,13 @@ constexpr std::uint8_t kErrTransient = 3;
 constexpr std::uint8_t kErrCorruption = 4;
 constexpr std::uint8_t kErrBadAlloc = 5;
 
-/// Encodes the exception a worker sweep raised into a kError payload:
-///   u8 kind, str what, then kind-specific fields (bandwidth: vertex, port,
-///   round, words, cap, from_contract; corruption: phase_label, phase,
-///   round, expected, observed).
-std::vector<std::uint8_t> encode_error_payload() {
+/// Encodes the exception a worker sweep raised into a kError frame whose
+/// payload is: u8 kind, str what, then kind-specific fields (bandwidth:
+/// vertex, port, round, words, cap, from_contract; corruption: phase_label,
+/// phase, round, expected, observed).
+std::vector<std::uint8_t> encode_error_frame() {
   ByteWriter w;
+  wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kError), -1, -1);
   try {
     throw;
   } catch (const sim::bandwidth_error& e) {
@@ -132,12 +133,13 @@ std::vector<std::uint8_t> encode_error_payload() {
     w.u8(kErrInvariant);
     w.str("non-standard exception in a worker sweep");
   }
+  wire::end_frame(w);
   return std::move(w.buf);
 }
 
-/// Inverse of encode_error_payload: rethrows the worker's exception on the
-/// coordinator with its original type and fields, prefixed with the worker
-/// id so a multi-process failure names its origin.
+/// Inverse of encode_error_frame's payload: rethrows the worker's exception
+/// on the coordinator with its original type and fields, prefixed with the
+/// worker id so a multi-process failure names its origin.
 [[noreturn]] void rethrow_error_payload(std::span<const std::uint8_t> payload,
                                         int worker) {
   ByteReader r{payload, 0, "error frame"};
@@ -201,6 +203,13 @@ struct WorkerCore {
   /// sweep entry; 0 means "this sweep".
   int kill_countdown = -1;
   int corrupt_countdown = -1;
+  /// Reply frames, kept across sweeps (cleared, not freed) so a sweep's
+  /// encoding allocates nothing once the buffers have grown: one kMsgs
+  /// frame per destination worker, with its entry count, and the kStats
+  /// frame.
+  std::vector<ByteWriter> msgs_out;
+  std::vector<std::uint32_t> msgs_count;
+  ByteWriter stats_out;
 
   int dest_worker_of(std::int64_t slot) const {
     const auto it = std::upper_bound(worker_slot_lo.begin() + 1,
@@ -242,21 +251,25 @@ struct WorkerCore {
                  "a shard's per-round payload exceeds the 32-bit arena "
                  "offsets");
       const auto s = static_cast<std::size_t>(slot);
+      const std::size_t at = words.size();
       arena.epoch[s] = stamp;
-      arena.off[s] = static_cast<std::uint32_t>(words.size());
+      arena.off[s] = static_cast<std::uint32_t>(at);
       arena.len[s] = static_cast<std::uint32_t>(len);
-      for (std::uint32_t k = 0; k < len; ++k) words.push_back(r.i64());
+      words.resize(at + len);
+      r.i64s(std::span<std::int64_t>(words).subspan(at));
     }
     DVC_ENSURE(r.pos == payload.size(),
                "messages frame has trailing bytes past its entries");
   }
 
-  /// Runs one sweep over the worker's shards and returns the response
-  /// frames: zero or more kMsgs (one per destination worker that received
-  /// cross-worker messages) followed by exactly one kStats. Throws on a
-  /// shard error; the caller encodes it as a kError frame.
-  std::vector<std::vector<std::uint8_t>> handle_sweep(
-      const wire::FrameHeader& h, std::span<const std::uint8_t> payload) {
+  /// Runs one sweep over the worker's shards and hands the response frames
+  /// to `emit` in order: zero or more kMsgs (one per destination worker that
+  /// received cross-worker messages) followed by exactly one kStats. The
+  /// frames live in this core's reply buffers until the next sweep. Throws
+  /// on a shard error; the caller encodes it as a kError frame.
+  template <class Emit>
+  void handle_sweep(const wire::FrameHeader& h,
+                    std::span<const std::uint8_t> payload, Emit&& emit) {
     ByteReader r{payload, 0, "sweep frame"};
     const bool is_begin = r.u8() != 0;
     if (owns_runtime_state && !is_begin) {
@@ -282,49 +295,43 @@ struct WorkerCore {
       }
     }
 
-    std::vector<std::vector<std::uint8_t>> out;
     const int phase = h.phase;
     const int round = h.round;
     // Cross-worker messages, grouped by destination worker. Entry layout:
     //   u32 dest_worker, u32 n_entries,
     //   n x { i64 slot, u32 sender_shard, u32 len, len x i64 words }
-    const int workers = static_cast<int>(worker_slot_lo.size()) - 1;
-    std::vector<ByteWriter> per_dest(static_cast<std::size_t>(workers));
-    std::vector<std::uint32_t> counts(static_cast<std::size_t>(workers), 0);
+    const auto workers = worker_slot_lo.size() - 1;
+    msgs_out.resize(workers);
+    msgs_count.assign(workers, 0);
     auto& arena = RuntimeAccess::out_arena(*rt);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       auto& captured = RuntimeAccess::captured(*rt, s);
       const auto& words = arena.words[static_cast<std::size_t>(s)];
       for (const std::int64_t slot : captured) {
-        const int dest = dest_worker_of(slot);
-        ByteWriter& w = per_dest[static_cast<std::size_t>(dest)];
-        if (counts[static_cast<std::size_t>(dest)] == 0) {
+        const auto dest = static_cast<std::size_t>(dest_worker_of(slot));
+        ByteWriter& w = msgs_out[dest];
+        if (msgs_count[dest]++ == 0) {
+          wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kMsgs),
+                            phase, round);
           w.u32(static_cast<std::uint32_t>(dest));
           w.u32(0);  // entry count, patched below
         }
-        ++counts[static_cast<std::size_t>(dest)];
         const auto si = static_cast<std::size_t>(slot);
         const std::uint32_t len = arena.len[si];
         w.i64(slot);
         w.u32(static_cast<std::uint32_t>(s));
         w.u32(len);
-        for (std::uint32_t k = 0; k < len; ++k) {
-          w.i64(words[arena.off[si] + k]);
-        }
+        w.i64s(
+            std::span<const std::int64_t>(words).subspan(arena.off[si], len));
       }
       captured.clear();
     }
-    for (int d = 0; d < workers; ++d) {
-      const std::uint32_t n = counts[static_cast<std::size_t>(d)];
-      if (n == 0) continue;
-      ByteWriter& w = per_dest[static_cast<std::size_t>(d)];
-      // Patch the entry count (little-endian u32 at offset 4).
-      for (int b = 0; b < 4; ++b) {
-        w.buf[4 + static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(n >> (8 * b));
-      }
-      out.push_back(wire::encode_frame(
-          static_cast<std::uint8_t>(FrameType::kMsgs), phase, round, w.buf));
+    for (std::size_t d = 0; d < workers; ++d) {
+      if (msgs_count[d] == 0) continue;
+      ByteWriter& w = msgs_out[d];
+      w.patch_u32(wire::kFrameHeaderBytes + 4, msgs_count[d]);
+      wire::end_frame(w);
+      emit(std::span<const std::uint8_t>(w.buf));
     }
 
     // Per-shard sweep counters, ascending shard order:
@@ -333,7 +340,9 @@ struct WorkerCore {
     // Read-and-reset: on the shared loopback session the coordinator
     // re-assigns these from the frame, so the reset keeps fork and loopback
     // on one code path instead of two counter disciplines.
-    ByteWriter stats;
+    ByteWriter& stats = stats_out;
+    wire::begin_frame(stats, static_cast<std::uint8_t>(FrameType::kStats),
+                      phase, round);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       auto& sh = RuntimeAccess::shard(*rt, s);
       stats.u64(sh.messages);
@@ -347,28 +356,28 @@ struct WorkerCore {
       sh.max_msg_words = 0;
       sh.newly_halted = 0;
     }
-    out.push_back(wire::encode_frame(
-        static_cast<std::uint8_t>(FrameType::kStats), phase, round,
-        stats.buf));
+    wire::end_frame(stats);
 
     if (corrupt_countdown >= 0 && corrupt_countdown-- == 0) {
       // Injected wire damage: flip the first payload byte of the stats
       // frame AFTER encoding, so the frame checksum no longer matches and
       // the coordinator's validation must catch it.
-      out.back()[wire::kFrameHeaderBytes] ^= 0xff;
+      stats.buf[wire::kFrameHeaderBytes] ^= 0xff;
     }
-    return out;
+    emit(std::span<const std::uint8_t>(stats.buf));
   }
 
   /// kFinish -> kState: every owned vertex's program state, in ascending
   /// vertex order, via the program's save hook.
   std::vector<std::uint8_t> handle_finish(const wire::FrameHeader& h) {
     ByteWriter w;
+    wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kState),
+                      h.phase, h.round);
     for (V v = slice.vtx_lo; v < slice.vtx_hi; ++v) {
       program->save_vertex_state(v, w);
     }
-    return wire::encode_frame(static_cast<std::uint8_t>(FrameType::kState),
-                              h.phase, h.round, w.buf);
+    wire::end_frame(w);
+    return std::move(w.buf);
   }
 };
 
@@ -398,7 +407,9 @@ struct WorkerCore {
             // -- exactly what kill -9 on a real worker box looks like.
             ::raise(SIGKILL);
           }
-          for (const auto& f : core.handle_sweep(h, payload)) link.send(f);
+          core.handle_sweep(h, payload, [&](std::span<const std::uint8_t> f) {
+            link.send(f);
+          });
           break;
         }
         case FrameType::kMsgs:
@@ -416,10 +427,9 @@ struct WorkerCore {
     } catch (const worker_lost_error&) {
       _exit(0);  // coordinator vanished mid-reply
     } catch (...) {
-      const std::vector<std::uint8_t> payload = encode_error_payload();
+      const std::vector<std::uint8_t> frame = encode_error_frame();
       try {
-        link.send(wire::encode_frame(
-            static_cast<std::uint8_t>(FrameType::kError), -1, -1, payload));
+        link.send(frame);
       } catch (...) {
         _exit(1);
       }
@@ -449,9 +459,9 @@ class LoopbackTransport final : public Transport {
             outbox_.clear();
             return;
           }
-          for (auto& f : core_.handle_sweep(h, payload)) {
-            outbox_.push_back(std::move(f));
-          }
+          core_.handle_sweep(h, payload, [&](std::span<const std::uint8_t> f) {
+            outbox_.emplace_back(f.begin(), f.end());
+          });
           break;
         }
         case FrameType::kMsgs:
@@ -467,9 +477,7 @@ class LoopbackTransport final : public Transport {
               "", h.phase, h.round, 0, 0);
       }
     } catch (...) {
-      outbox_.push_back(
-          wire::encode_frame(static_cast<std::uint8_t>(FrameType::kError), -1,
-                             -1, encode_error_payload()));
+      outbox_.push_back(encode_error_frame());
     }
   }
 
@@ -599,11 +607,11 @@ class DistExecutor final : public sim::PhaseExecutor {
     ++m.round_trips;
     try {
       ByteWriter sweep;
+      wire::begin_frame(sweep, static_cast<std::uint8_t>(FrameType::kSweep),
+                        phase, round);
       sweep.u8(is_begin ? 1 : 0);
-      const auto frame =
-          wire::encode_frame(static_cast<std::uint8_t>(FrameType::kSweep),
-                             phase, round, sweep.buf);
-      for (int w = 0; w < worker_count(); ++w) send_to(w, frame);
+      wire::end_frame(sweep);
+      for (int w = 0; w < worker_count(); ++w) send_to(w, sweep.buf);
 
       // Drain every worker in order: relay-buffer its kMsgs, land its
       // kStats into the owned shards' counters (merge_shards folds them

@@ -40,7 +40,7 @@ std::uint64_t lane_slot_hash(std::int64_t slot, std::uint64_t payload_fold) {
 
 // Checkpoint buffer format (see Runtime::checkpoint): little-endian fields,
 // magic + version header, graph fingerprint, boundary state, the serialized
-// PhaseLog, and a trailing fold-of-all-bytes checksum. The byte-level
+// PhaseLog, and a trailing word-wise fold checksum. The byte-level
 // encode/decode/checksum idioms live in common/wire.hpp, shared with the
 // distributed transport's frame protocol.
 constexpr std::uint64_t kCkptMagic = 0x647663434b505431ULL;  // "dvcCKPT1"

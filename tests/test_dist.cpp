@@ -139,14 +139,32 @@ TEST(Wire, FlippedBitAnywhereIsCorruption) {
   const std::vector<std::uint8_t> frame =
       wire::encode_frame(2, 1, 3, payload.buf);
   ASSERT_NO_THROW((void)wire::frame_payload(frame));
-  // Flip one bit at a spread of positions: header, payload, trailer.
-  for (const std::size_t pos :
-       {std::size_t{6}, wire::kFrameHeaderBytes, frame.size() / 2,
-        frame.size() - 1}) {
-    std::vector<std::uint8_t> damaged = frame;
-    damaged[pos] ^= 0x10;
-    EXPECT_THROW((void)wire::frame_payload(damaged), corruption_error)
-        << "flip at byte " << pos << " was accepted";
+  // The checksum folds 8-byte words plus a zero-padded tail word: a body
+  // (header + payload) that is not a multiple of 8 puts bytes in that tail.
+  ASSERT_NE((frame.size() - wire::kFrameTrailerBytes) % 8, 0u);
+  // Every single-bit flip -- header, payload, tail word, trailer -- is
+  // caught.
+  for (std::size_t pos = 0; pos < frame.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> damaged = frame;
+      damaged[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_THROW((void)wire::frame_payload(damaged), corruption_error)
+          << "flip of bit " << bit << " at byte " << pos << " was accepted";
+    }
+  }
+}
+
+TEST(Wire, TrailingBytesAfterTheChecksumAreCorruption) {
+  wire::ByteWriter payload;
+  payload.u64(42);
+  const std::vector<std::uint8_t> frame =
+      wire::encode_frame(1, 0, 0, payload.buf);
+  ASSERT_NO_THROW((void)wire::frame_payload(frame));
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<std::uint8_t> longer = frame;
+    longer.resize(frame.size() + extra, 0);
+    EXPECT_THROW((void)wire::frame_payload(longer), corruption_error)
+        << extra << " byte(s) past the trailer were accepted";
   }
 }
 
@@ -184,6 +202,38 @@ TEST(Wire, ReaderBoundsChecksEveryRead) {
   EXPECT_THROW((void)r2.str(), corruption_error);  // length prefix missing
 }
 
+TEST(Wire, BulkWordsRoundTripAndTruncatedBulkReadIsCorruption) {
+  const std::vector<std::int64_t> words = {0, -1, 42, INT64_MIN, INT64_MAX,
+                                           0x0102030405060708LL};
+  wire::ByteWriter w;
+  w.u8(7);  // misalign the words inside the buffer
+  w.i64s(words);
+  w.i64s({});
+  ASSERT_EQ(w.buf.size(), 1 + 8 * words.size());
+  // The bulk writer emits exactly the bytes of the word-at-a-time one.
+  wire::ByteWriter one_by_one;
+  one_by_one.u8(7);
+  for (const std::int64_t x : words) one_by_one.i64(x);
+  EXPECT_EQ(w.buf, one_by_one.buf);
+  // Little-endian on the wire: the last word's bytes run 08 07 ... 01.
+  const std::vector<std::uint8_t> tail(w.buf.end() - 8, w.buf.end());
+  EXPECT_EQ(tail, (std::vector<std::uint8_t>{8, 7, 6, 5, 4, 3, 2, 1}));
+
+  wire::ByteReader r{w.buf, 0, "bulk buffer"};
+  EXPECT_EQ(r.u8(), 7);
+  std::vector<std::int64_t> back(words.size());
+  r.i64s(back);
+  EXPECT_EQ(back, words);
+  EXPECT_EQ(r.pos, w.buf.size());
+  r.i64s({});  // an empty read at the end is in bounds
+
+  // One word more than the buffer holds: rejected, and nothing consumed.
+  wire::ByteReader cut{w.buf, 1, "bulk buffer"};
+  std::vector<std::int64_t> too_many(words.size() + 1);
+  EXPECT_THROW(cut.i64s(too_many), corruption_error);
+  EXPECT_EQ(cut.pos, 1u);
+}
+
 TEST(Wire, ChecksumMatchesCheckpointIdiom) {
   // checksum64 is the shared fold: order-dependent, seed-dependent.
   const std::vector<std::uint8_t> a = {1, 2, 3, 4};
@@ -191,6 +241,18 @@ TEST(Wire, ChecksumMatchesCheckpointIdiom) {
   EXPECT_NE(wire::checksum64(1, a), wire::checksum64(1, b));
   EXPECT_NE(wire::checksum64(1, a), wire::checksum64(2, a));
   EXPECT_EQ(wire::checksum64(7, a), wire::checksum64(7, a));
+  // Zero padding of the tail word must not hide an appended zero byte, nor
+  // make the empty stream equal {0}: the fold ends with the byte count.
+  std::vector<std::uint8_t> a0 = a;
+  a0.push_back(0);
+  EXPECT_NE(wire::checksum64(1, a), wire::checksum64(1, a0));
+  const std::vector<std::uint8_t> zero = {0};
+  EXPECT_NE(wire::checksum64(1, {}), wire::checksum64(1, zero));
+  // The same at a full-word boundary: 8 bytes vs 8 bytes + a zero word.
+  const std::vector<std::uint8_t> w8(8, 5);
+  std::vector<std::uint8_t> w16 = w8;
+  w16.resize(16, 0);
+  EXPECT_NE(wire::checksum64(1, w8), wire::checksum64(1, w16));
 }
 
 // ---------------------------------------------------------------------------
@@ -565,6 +627,101 @@ TEST(DistFailure, BandwidthErrorInAWorkerCrossesTheWireIntact) {
     EXPECT_NE(std::string(e.what()).find("worker"), std::string::npos);
   }
   expect_no_zombie_children();
+}
+
+/// DistFlood that throws one error kind from `victim`'s step in round 1.
+class ThrowingFlood : public DistFlood {
+ public:
+  enum class Kind {
+    kTransient,
+    kCorruption,
+    kPrecondition,
+    kBadAlloc,
+    kInvariant
+  };
+  ThrowingFlood(Kind kind, V victim)
+      : DistFlood(4), kind_(kind), victim_(victim) {}
+  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
+    if (ctx.vertex() == victim_ && ctx.round() == 1) {
+      switch (kind_) {
+        case Kind::kTransient:
+          throw transient_error("transient probe");
+        case Kind::kCorruption:
+          throw corruption_error("corruption probe", "probe-phase", 5, 1, 11,
+                                 22);
+        case Kind::kPrecondition:
+          throw precondition_error("precondition probe");
+        case Kind::kBadAlloc:
+          throw std::bad_alloc{};
+        case Kind::kInvariant:
+          throw invariant_error("invariant probe");
+      }
+    }
+    DistFlood::step(ctx, inbox);
+  }
+
+ private:
+  Kind kind_;
+  V victim_;
+};
+
+TEST(DistFailure, EveryErrorKindCrossesTheWireWithItsType) {
+  // Each kind a worker sweep can raise is encoded into a kError frame and
+  // rethrown on the coordinator with its original type, its fields, and a
+  // prefix naming the worker (the runtime may add phase context in front of
+  // that). Vertex 80 of 96 lives in shard 1, which is worker 1's.
+  using Kind = ThrowingFlood::Kind;
+  const Graph g = cycle_graph(96);
+  const V victim = 80;
+  const auto expect_from_worker_1 = [](const std::exception& e,
+                                       const std::string& what) {
+    const std::string got = e.what();
+    const std::string want = "worker 1: " + what;
+    EXPECT_TRUE(got.size() >= want.size() &&
+                got.compare(got.size() - want.size(), want.size(), want) == 0)
+        << got;
+  };
+  for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+    for (const Kind kind : {Kind::kTransient, Kind::kCorruption,
+                            Kind::kPrecondition, Kind::kBadAlloc,
+                            Kind::kInvariant}) {
+      SCOPED_TRACE(std::string(dist::backend_name(backend)) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      sim::Runtime rt(g, 2, /*inline_shards=*/true);
+      DistConfig cfg;
+      cfg.workers = 2;
+      cfg.backend = backend;
+      DistSession session(rt, cfg);
+      ThrowingFlood program(kind, victim);
+      try {
+        rt.run_phase(program, 16);
+        ADD_FAILURE() << "the worker's error did not surface";
+      } catch (const corruption_error& e) {
+        EXPECT_EQ(kind, Kind::kCorruption);
+        expect_from_worker_1(e, "corruption probe");
+        EXPECT_EQ(e.phase_label, "probe-phase");
+        EXPECT_EQ(e.phase, 5);
+        EXPECT_EQ(e.round, 1);
+        EXPECT_EQ(e.expected_messages, 11u);
+        EXPECT_EQ(e.observed_messages, 22u);
+      } catch (const worker_lost_error& e) {
+        ADD_FAILURE() << "a thrown error surfaced as a lost worker: "
+                      << e.what();
+      } catch (const transient_error& e) {
+        EXPECT_EQ(kind, Kind::kTransient);
+        expect_from_worker_1(e, "transient probe");
+      } catch (const precondition_error& e) {
+        EXPECT_EQ(kind, Kind::kPrecondition);
+        expect_from_worker_1(e, "precondition probe");
+      } catch (const std::bad_alloc&) {
+        EXPECT_EQ(kind, Kind::kBadAlloc);
+      } catch (const invariant_error& e) {
+        EXPECT_EQ(kind, Kind::kInvariant);
+        expect_from_worker_1(e, "invariant probe");
+      }
+      expect_no_zombie_children();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
