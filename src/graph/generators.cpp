@@ -13,7 +13,8 @@ namespace {
 // pass and once for the adjacency fill, and must produce the identical edge
 // stream both times (generators that draw randomness construct their Rng
 // INSIDE the emitter so each pass replays the same draws). No EdgeList is
-// ever materialized.
+// ever materialized; the price is running the generator twice, which for
+// R-MAT is most of the build.
 template <class Emit>
 Graph build_stream(V n, Emit&& emit) {
   CsrBuilder b(n);

@@ -8,9 +8,10 @@
 // Streaming construction (see DESIGN.md, "Memory layout & giant graphs"):
 // every generator feeds its edges straight into a two-pass CsrBuilder and
 // never materializes an EdgeList -- the edge stream is produced twice
-// (degree count, then adjacency fill) from the same seed, so peak memory is
-// the final CSR plus the generator's own state instead of 8 bytes per raw
-// edge on top. The giant-graph families (RMAT, Barabasi-Albert) also expose
+// (degree count, then adjacency fill) from the same seed. Peak memory is
+// the larger of the final CSR and two raw adjacency arrays (the builder's
+// transpose scratch), plus the generator's own state; no 8-byte edge pairs
+// are held. The giant-graph families (RMAT, Barabasi-Albert) also expose
 // their streaming cores as emit_* templates so custom pipelines
 // (partitioned builds, IO, external tools) can consume the same
 // deterministic stream directly.
@@ -98,7 +99,10 @@ Graph random_geometric(V n, double radius, std::uint64_t seed);
 /// PRNG stream, so the emission is deterministic AND restartable -- the
 /// two-pass CSR build replays it bit-identically, and a partitioned
 /// pipeline can regenerate any edge range independently. Self loops and
-/// duplicates are emitted here and normalized away by the builder.
+/// duplicates are emitted here and normalized away by the builder. The
+/// descent folds each level's comparisons into the two coordinate bits
+/// rather than branching: every draw is a coin the branch predictor cannot
+/// learn, so branches would cost a mispredict per level.
 template <class Sink>
 void emit_rmat(int scale, int edgefactor, std::uint64_t seed, Sink&& sink,
                double a = 0.57, double b = 0.19, double c = 0.19) {
@@ -113,19 +117,12 @@ void emit_rmat(int scale, int edgefactor, std::uint64_t seed, Sink&& sink,
     Rng rng(seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
     V u = 0, v = 0;
     for (int level = 0; level < scale; ++level) {
+      // [0,a) -> (0,0), [a,a+b) -> (0,1), [a+b,a+b+c) -> (1,0),
+      // [a+b+c,1) -> (1,1).
       const double r = rng.uniform_real();
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-        // top-left quadrant: both bits 0
-      } else if (r < ab) {
-        v |= 1;
-      } else if (r < abc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      const bool lower = r >= ab;
+      u = (u << 1) | static_cast<V>(lower);
+      v = (v << 1) | static_cast<V>((r >= a) & (!lower | (r >= abc)));
     }
     sink(u, v);
   }

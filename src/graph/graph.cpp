@@ -105,25 +105,41 @@ Graph CsrBuilder::finish(Graph::Layout layout) {
   Graph g;
   g.n_ = n_;
 
-  // Canonicalize in place: sort each row, drop duplicates, compact the
-  // adjacency array left. Rows are processed in order and dedupe only
-  // shrinks, so the write head never overtakes the read head.
+  // Sort every row by transposition instead of a comparison sort. add()
+  // writes each {u, v} into both rows, so the raw adjacency is symmetric:
+  // v occurs in row u exactly as often as u occurs in row v. Scattering v
+  // into row u for v ascending (one counting-sort pass into a raw-size
+  // scratch array) therefore refills every row with the same multiset, in
+  // ascending order. The scratch copy is the build's only transient on top
+  // of the raw adjacency.
+  std::vector<V> sorted(adj_.size());
+  std::copy(off_.begin(), off_.end() - 1, cur_.begin());
+  for (V v = 0; v < n_; ++v) {
+    const std::int64_t hi = off_[static_cast<std::size_t>(v) + 1];
+    for (std::int64_t i = off_[static_cast<std::size_t>(v)]; i < hi; ++i) {
+      const auto u = static_cast<std::size_t>(adj_[static_cast<std::size_t>(i)]);
+      sorted[static_cast<std::size_t>(cur_[u]++)] = v;
+    }
+  }
+
+  // Copy the sorted rows back without their (now adjacent) duplicates,
+  // compacted left. Reuse cur_ as the final (post-dedupe) offset of each
+  // vertex.
   std::int64_t w = 0;
   int max_deg = 0;
-  // Reuse cur_ as the final (post-dedupe) offset of each vertex.
   for (V v = 0; v < n_; ++v) {
-    const std::int64_t lo = off_[static_cast<std::size_t>(v)];
     const std::int64_t hi = off_[static_cast<std::size_t>(v) + 1];
-    V* first = adj_.data() + lo;
-    V* last = adj_.data() + hi;
-    std::sort(first, last);
-    V* end = std::unique(first, last);
-    const std::int64_t deg = end - first;
-    cur_[static_cast<std::size_t>(v)] = w;
-    if (w != lo) std::copy(first, end, adj_.data() + w);
-    w += deg;
-    max_deg = std::max(max_deg, detail::checked_port_cast(deg));
+    const std::int64_t row = w;
+    cur_[static_cast<std::size_t>(v)] = row;
+    for (std::int64_t i = off_[static_cast<std::size_t>(v)]; i < hi; ++i) {
+      const V u = sorted[static_cast<std::size_t>(i)];
+      if (w == row || adj_[static_cast<std::size_t>(w) - 1] != u) {
+        adj_[static_cast<std::size_t>(w++)] = u;
+      }
+    }
+    max_deg = std::max(max_deg, detail::checked_port_cast(w - row));
   }
+  sorted = std::vector<V>();  // free the scratch before the mirror table
   DVC_ENSURE(w % 2 == 0, "slot count must be even (one mirror per slot)");
   g.m_ = w / 2;
   g.max_deg_ = max_deg;

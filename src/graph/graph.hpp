@@ -198,8 +198,10 @@ class Graph {
 /// re-seed their PRNG per pass); finish() checks the counts agree. Self
 /// loops are dropped on add; duplicates are removed by finish(), so the
 /// result is bit-identical to Graph::from_edges on the same stream --
-/// including the digest -- at a fraction of the peak memory (no 8-byte
-/// edge pairs, no sort of the full edge list).
+/// including the digest. No 8-byte edge pairs are held and nothing is
+/// comparison-sorted: finish() sorts every row at once by transposing the
+/// raw adjacency into a scratch copy of the same size, the build's only
+/// transient on top of the raw adjacency.
 class CsrBuilder {
  public:
   explicit CsrBuilder(V n);
@@ -223,8 +225,9 @@ class CsrBuilder {
   /// the adjacency array for the fill pass.
   void next_pass();
 
-  /// Canonicalizes (per-vertex sort + dedupe), builds mirrors, computes the
-  /// digest, and returns the finished Graph. The builder is left empty.
+  /// Canonicalizes (transpose into sorted rows, then dedupe), builds
+  /// mirrors, computes the digest, and returns the finished Graph. The
+  /// builder is left empty.
   Graph finish(Graph::Layout layout = Graph::Layout::kAuto);
 
  private:

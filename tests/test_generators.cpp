@@ -363,6 +363,46 @@ TEST(Generators, BarabasiAlbertScaleMatchesFlatParameterization) {
   EXPECT_LE(degeneracy(scaled), 4);
 }
 
+// --- Golden digests --------------------------------------------------------
+//
+// Exact digests of fixed graphs. The benchmark's graphs are its data, so a
+// faster generator or builder must reproduce every one of them bit for bit.
+
+TEST(Generators, GoldenDigestsOfBenchmarkRmatGraphs) {
+  // perfbench's eight scale-11 graphs at seed 7 (graph i uses seed 7*8+i).
+  const std::uint64_t golden[] = {
+      0x70424ebb92958021ULL, 0x7ca2440f3721a39cULL, 0xa8758e8f8cff0621ULL,
+      0xbd01da76bf6014beULL, 0x441dd799ef597d04ULL, 0x3e5ebe413f57b9deULL,
+      0xee90e44bc0582a42ULL, 0x302d3a376fa7ccf5ULL,
+  };
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rmat_graph(11, 8, 56 + static_cast<std::uint64_t>(i)).digest(),
+              golden[i])
+        << "seed " << 56 + i;
+  }
+  EXPECT_EQ(rmat_graph(16, 8, 3).digest(), 0x6d8f318494fc8f85ULL);
+}
+
+TEST(Generators, GoldenDigestsOfOtherFamilies) {
+  EXPECT_EQ(barabasi_albert_scale(12, 4, 5).digest(), 0x804ee15cc30cd652ULL);
+  EXPECT_EQ(random_gnm(2000, 8000, 3).digest(), 0x2dd8c32e91a5cd3aULL);
+  EXPECT_EQ(random_geometric(2000, 0.05, 3).digest(), 0xf489fe51a8b39bfbULL);
+  EXPECT_EQ(low_arboricity_high_degree(4000, 3, 64, 3).digest(),
+            0x2489b64d561162d0ULL);
+}
+
+TEST(Generators, RmatQuadrantBoundariesArePinned) {
+  // An empty b or c quadrant puts a + b (or a + b + c) on top of another
+  // boundary, so the bit arithmetic must send every draw to the same
+  // quadrant as the interval test. With b = 0 the draws in [a, a+c) are
+  // (1,0) edges; with c = 0 the same draws are (0,1) edges. The graph is
+  // undirected, so both give the same graph.
+  EXPECT_EQ(rmat_graph(9, 8, 3, 0.6, 0.0, 0.3).digest(), 0x3063219ea2781f93ULL);
+  EXPECT_EQ(rmat_graph(9, 8, 3, 0.6, 0.3, 0.0).digest(), 0x3063219ea2781f93ULL);
+  EXPECT_EQ(rmat_graph(9, 8, 3, 0.45, 0.25, 0.15).digest(),
+            0xb1c2a9d3e22f8b80ULL);
+}
+
 TEST(Generators, StreamingBuildRoundTripsThroughEdgeList) {
   // Every streaming-built family must equal its own edge-list rebuild:
   // the two-pass CsrBuilder path and Graph::from_edges are bit-identical

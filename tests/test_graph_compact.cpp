@@ -11,11 +11,19 @@
 //   4. The streaming CsrBuilder reproduces Graph::from_edges bit-for-bit,
 //      including the digest, and the degree/port narrowing paths fail as a
 //      structured invariant_error instead of silent int truncation.
+//   5. The builder's CSR arrays and digest match a naive std::set
+//      canonicalizer on seeded multigraph streams, in both layouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/prng.hpp"
 #include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -233,6 +241,130 @@ TEST(GraphCompact, CsrBuilderRejectsBadInput) {
   const Graph g = b.finish(Graph::Layout::kCompact);
   EXPECT_TRUE(g.compact_layout());
   EXPECT_EQ(g.num_edges(), 1);
+}
+
+// --- 5. Independent oracle for the streaming builder -----------------------
+//
+// Graph::from_edges is itself a CsrBuilder client, so comparing the two only
+// checks the builder against itself. This oracle canonicalizes a stream
+// with a std::set of sorted endpoint pairs and checks every CSR array and
+// the digest against it, sharing no code with the builder.
+
+/// Canonical rows of a multigraph stream: self loops dropped, duplicates
+/// merged, each row ascending.
+std::vector<std::vector<V>> naive_rows(V n, const EdgeList& stream) {
+  std::set<std::pair<V, V>> edges;
+  for (const auto& [u, v] : stream) {
+    if (u != v) edges.emplace(std::min(u, v), std::max(u, v));
+  }
+  std::vector<std::vector<V>> rows(static_cast<std::size_t>(n));
+  for (const auto& [u, v] : edges) {
+    rows[static_cast<std::size_t>(u)].push_back(v);
+    rows[static_cast<std::size_t>(v)].push_back(u);
+  }
+  for (auto& row : rows) std::sort(row.begin(), row.end());
+  return rows;
+}
+
+/// Digest of canonical rows, by the formula documented at Graph::digest().
+std::uint64_t naive_digest(const std::vector<std::vector<V>>& rows) {
+  std::uint64_t slots = 0;
+  for (const auto& row : rows) slots += row.size();
+  std::uint64_t h = detail::digest_mix(
+      detail::digest_mix(0x64766367ULL /* "dvcg" */, rows.size()), slots / 2);
+  for (const auto& row : rows) {
+    h = detail::digest_mix(h, row.size());
+    for (const V u : row) h = detail::digest_mix(h, static_cast<std::uint64_t>(u));
+  }
+  return h;
+}
+
+void expect_matches_oracle(const Graph& g, V n, const EdgeList& stream) {
+  const auto rows = naive_rows(n, stream);
+  ASSERT_EQ(g.num_vertices(), n);
+  std::int64_t offset = 0;
+  int max_deg = 0;
+  for (V v = 0; v < n; ++v) {
+    const auto& row = rows[static_cast<std::size_t>(v)];
+    ASSERT_EQ(g.slot(v, 0), offset) << "offset of " << v;
+    const auto nb = g.neighbors(v);
+    ASSERT_EQ(std::vector<V>(nb.begin(), nb.end()), row) << "row of " << v;
+    for (std::size_t p = 1; p < nb.size(); ++p) {
+      ASSERT_LT(nb[p - 1], nb[p]) << "row of " << v << " not strictly sorted";
+    }
+    for (int p = 0; p < g.degree(v); ++p) {
+      const std::int64_t s = g.slot(v, p);
+      const std::int64_t t = g.mirror_slot(s);
+      const V u = nb[static_cast<std::size_t>(p)];
+      ASSERT_EQ(g.mirror_slot(t), s);
+      ASSERT_GE(t, g.slot(u, 0));
+      ASSERT_LT(t, g.slot(u, 0) + g.degree(u));
+      ASSERT_EQ(g.neighbor(u, static_cast<int>(t - g.slot(u, 0))), v);
+    }
+    offset += static_cast<std::int64_t>(row.size());
+    max_deg = std::max(max_deg, static_cast<int>(row.size()));
+  }
+  EXPECT_EQ(g.num_slots(), offset);
+  EXPECT_EQ(g.num_edges(), offset / 2);
+  EXPECT_EQ(g.max_degree(), max_deg);
+  EXPECT_EQ(g.digest(), naive_digest(rows));
+}
+
+/// Seeded multigraph stream over n vertices: uniform pairs (self loops and
+/// repeats included) on the lower half of the ids, so the upper half stays
+/// isolated, plus a hub (vertex 0) with 1200 raw entries over at most 16
+/// neighbors, shuffled into the rest.
+EdgeList multigraph_stream(V n, std::uint64_t seed) {
+  EdgeList stream;
+  if (n == 0) return stream;
+  Rng rng(seed);
+  const auto active = static_cast<std::uint64_t>(std::max<V>(1, n / 2));
+  const auto pick = [&] { return static_cast<V>(rng.uniform(active)); };
+  for (V i = 0; i < 4 * n; ++i) stream.emplace_back(pick(), pick());
+  const std::uint64_t hub_span = std::min<std::uint64_t>(active, 16);
+  for (int i = 0; i < 1200; ++i) {
+    const V x = static_cast<V>(rng.uniform(hub_span));
+    if (i % 2 == 0) {
+      stream.emplace_back(0, x);
+    } else {
+      stream.emplace_back(x, 0);
+    }
+  }
+  rng.shuffle(stream);
+  return stream;
+}
+
+Graph build_two_pass(V n, const EdgeList& stream, Graph::Layout layout) {
+  CsrBuilder b(n);
+  for (const auto& [u, v] : stream) b.add(u, v);
+  b.next_pass();
+  for (const auto& [u, v] : stream) b.add(u, v);
+  return b.finish(layout);
+}
+
+TEST(GraphCompact, CsrBuilderMatchesNaiveOracle) {
+  for (const V n : {0, 1, 2, 7, 64, 300}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      const EdgeList stream = multigraph_stream(n, seed);
+      for (const Graph::Layout layout :
+           {Graph::Layout::kCompact, Graph::Layout::kWide}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
+                     std::to_string(seed) +
+                     (layout == Graph::Layout::kWide ? " wide" : " compact"));
+        const Graph built = build_two_pass(n, stream, layout);
+        EXPECT_EQ(built.compact_layout(), layout == Graph::Layout::kCompact);
+        expect_matches_oracle(built, n, stream);
+        expect_matches_oracle(Graph::from_edges(n, stream, layout), n, stream);
+      }
+    }
+  }
+}
+
+TEST(GraphCompact, RmatStreamMatchesNaiveOracle) {
+  const int scale = 9;
+  EdgeList stream;
+  emit_rmat(scale, 8, 7, [&](V u, V v) { stream.emplace_back(u, v); });
+  expect_matches_oracle(rmat_graph(scale, 8, 7), V{1} << scale, stream);
 }
 
 TEST(GraphCompact, CheckedPortCastGuardsTheIntCap) {
