@@ -20,8 +20,9 @@ int main() {
     for (const int d : {16, 64}) {
       const Graph g = random_near_regular(n, d, 7);
       const int delta = g.max_degree();
+      sim::Runtime rt(g);
       for (const int p : {2, 4, 8}) {
-        const DefectiveResult res = kuhn_defective_p(g, p);
+        const DefectiveResult res = kuhn_defective_p(rt, p);
         table.row(n, delta, p, coloring_defect(g, res.colors), delta / p,
                   res.palette,
                   static_cast<double>(res.palette) / (p * p), res.stats.rounds,

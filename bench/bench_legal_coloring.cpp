@@ -21,9 +21,10 @@ namespace {
 dvc::LegalColoringResult be08_coloring(const dvc::Graph& g, int a) {
   using namespace dvc;
   LegalColoringResult out;
-  const CompleteOrientationResult ori = complete_orientation(g, a);
+  sim::Runtime rt(g);
+  const CompleteOrientationResult ori = complete_orientation(rt, a);
   const std::int64_t palette = ori.hp.threshold + 1;
-  const ReduceResult greedy = greedy_by_orientation(g, ori.sigma, palette);
+  const ReduceResult greedy = greedy_by_orientation(rt, ori.sigma, palette);
   out.colors = greedy.colors;
   out.distinct = distinct_colors(out.colors);
   out.total += ori.total;
@@ -42,8 +43,9 @@ int main() {
     for (const V n : {1 << 12, 1 << 14, 1 << 16}) {
       const Graph g = planted_arboricity(n, a, 10 + a);
       const double logn = std::log2(static_cast<double>(n));
+      sim::Runtime rt(g);
       {
-        const LegalColoringResult res = legal_coloring_linear(g, a, 0.5);
+        const LegalColoringResult res = legal_coloring_linear(rt, a, 0.5);
         table.row(n, a, "BE10 mu=0.5 (Thm 4.3)", res.distinct,
                   static_cast<double>(res.distinct) / a, res.total.rounds,
                   res.total.rounds / logn);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include "graph/coloring.hpp"
-#include "graph/graph.hpp"
 #include "sim/runtime.hpp"
 
 namespace dvc {
@@ -23,10 +22,5 @@ struct RingColoringResult {
 };
 
 RingColoringResult cole_vishkin_ring(sim::Runtime& rt);
-
-inline RingColoringResult cole_vishkin_ring(const Graph& ring) {
-  sim::Runtime rt(ring);
-  return cole_vishkin_ring(rt);
-}
 
 }  // namespace dvc

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "core/mis.hpp"
-#include "graph/graph.hpp"
 
 namespace dvc {
 
@@ -16,10 +15,5 @@ namespace dvc {
 constexpr int luby_max_words() { return 3; }
 
 MisResult luby_mis(sim::Runtime& rt, std::uint64_t seed);
-
-inline MisResult luby_mis(const Graph& g, std::uint64_t seed) {
-  sim::Runtime rt(g);
-  return luby_mis(rt, seed);
-}
 
 }  // namespace dvc

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "graph/coloring.hpp"
-#include "graph/graph.hpp"
 #include "graph/orientation.hpp"
 #include "sim/runtime.hpp"
 
@@ -33,12 +32,5 @@ struct SimpleArbResult {
 SimpleArbResult simple_arbdefective(sim::Runtime& rt, const Orientation& sigma,
                                     int k,
                                     const std::vector<std::int64_t>* groups = nullptr);
-
-inline SimpleArbResult simple_arbdefective(const Graph& g, const Orientation& sigma,
-                                           int k,
-                                           const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return simple_arbdefective(rt, sigma, k, groups);
-}
 
 }  // namespace dvc

@@ -15,7 +15,6 @@
 
 #include "defective/reduce.hpp"
 #include "graph/coloring.hpp"
-#include "graph/graph.hpp"
 
 namespace dvc {
 
@@ -23,11 +22,5 @@ namespace dvc {
 /// an upper bound on the same-group degree of every vertex.
 ReduceResult legal_small_degree(sim::Runtime& rt, int degree_bound,
                                 const std::vector<std::int64_t>* groups = nullptr);
-
-inline ReduceResult legal_small_degree(const Graph& g, int degree_bound,
-                                       const std::vector<std::int64_t>* groups = nullptr) {
-  sim::Runtime rt(g);
-  return legal_small_degree(rt, degree_bound, groups);
-}
 
 }  // namespace dvc

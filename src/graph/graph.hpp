@@ -195,7 +195,8 @@ class Graph {
 ///   Graph g = b.finish();    // canonicalize + mirrors + digest
 ///
 /// Both passes must emit the SAME edge multiset (deterministic generators
-/// re-seed their PRNG per pass); finish() checks the counts agree. Self
+/// re-seed their PRNG per pass); add() rejects a fill-pass edge whose row
+/// is already full, and finish() checks every row was filled. Self
 /// loops are dropped on add; duplicates are removed by finish(), so the
 /// result is bit-identical to Graph::from_edges on the same stream --
 /// including the digest. No 8-byte edge pairs are held and nothing is
@@ -217,8 +218,14 @@ class CsrBuilder {
       ++cur_[static_cast<std::size_t>(v)];
       return;
     }
-    adj_[static_cast<std::size_t>(cur_[static_cast<std::size_t>(u)]++)] = v;
-    adj_[static_cast<std::size_t>(cur_[static_cast<std::size_t>(v)]++)] = u;
+    const auto su = static_cast<std::size_t>(u);
+    const auto sv = static_cast<std::size_t>(v);
+    // A row that is already full means the fill stream has more edges than
+    // the count pass did; stop before writing into the next row.
+    DVC_ENSURE(cur_[su] < off_[su + 1] && cur_[sv] < off_[sv + 1],
+               "fill pass emitted a different edge stream than the count pass");
+    adj_[static_cast<std::size_t>(cur_[su]++)] = v;
+    adj_[static_cast<std::size_t>(cur_[sv]++)] = u;
   }
 
   /// Ends the counting pass: prefix-sums the degree counts and allocates

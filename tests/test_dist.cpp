@@ -429,10 +429,10 @@ TEST(DistIdentity, ProgramsOutsideThePresetsShipTheirVertexState) {
     EXPECT_EQ(seen, 1) << label;
   };
   const Graph g = planted_arboricity(160, 3, 23);
-  const CompleteOrientationResult ori = complete_orientation(g, 3);
   const Graph ring = cycle_graph(97);
 
   sim::Runtime arb_local(g, 2, /*inline_shards=*/true);
+  const CompleteOrientationResult ori = complete_orientation(arb_local, 3);
   const SimpleArbResult arb_want = simple_arbdefective(arb_local, ori.sigma, 3);
   sim::Runtime cv_local(ring, 2, /*inline_shards=*/true);
   const RingColoringResult cv_want = cole_vishkin_ring(cv_local);

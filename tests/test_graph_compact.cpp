@@ -241,6 +241,19 @@ TEST(GraphCompact, CsrBuilderRejectsBadInput) {
   const Graph g = b.finish(Graph::Layout::kCompact);
   EXPECT_TRUE(g.compact_layout());
   EXPECT_EQ(g.num_edges(), 1);
+  // A fill pass with more edges than the count pass throws before it can
+  // write past a row or past the raw array.
+  CsrBuilder extra(2);
+  extra.add(0, 1);
+  extra.next_pass();
+  extra.add(0, 1);
+  EXPECT_THROW(extra.add(0, 1), invariant_error);
+  CsrBuilder last(3);  // the last row ends where the raw array ends
+  last.add(0, 1);
+  last.add(1, 2);
+  last.next_pass();
+  last.add(1, 2);
+  EXPECT_THROW(last.add(0, 2), invariant_error);
 }
 
 // --- 5. Independent oracle for the streaming builder -----------------------

@@ -28,7 +28,10 @@
 
 #include "common/check.hpp"
 #include "core/api.hpp"
+#include "core/arbdefective.hpp"
+#include "decomp/forests.hpp"
 #include "decomp/h_partition.hpp"
+#include "decomp/orientations.hpp"
 #include "defective/kuhn.hpp"
 #include "defective/reduce.hpp"
 #include "graph/generators.hpp"
@@ -80,6 +83,38 @@ TEST(Runtime, SharedSessionPipelineMatchesFreshSessionsAtAnyShardCount) {
     EXPECT_EQ(rt.log().name(0), "h-partition");
     EXPECT_EQ(rt.log().name(1), "kuhn-defective");
     EXPECT_EQ(rt.log().name(2), "kw-reduce");
+
+    // The composite drivers then run one after another on the same
+    // session; each must match a fresh session of its own.
+    const auto dirs = [&g](const auto& res) {
+      std::vector<EdgeDir> out;
+      for (V v = 0; v < g.num_vertices(); ++v) {
+        for (int p = 0; p < g.degree(v); ++p) out.push_back(res.sigma.dir(v, p));
+      }
+      return out;
+    };
+    const auto colors = [](const auto& res) { return res.colors; };
+    const auto shared_matches_fresh = [&](const char* name, auto output, auto driver) {
+      SCOPED_TRACE(name);
+      const auto shared = driver(rt);
+      sim::Runtime fresh_rt(g, shards);
+      const auto fresh = driver(fresh_rt);
+      EXPECT_EQ(output(shared), output(fresh));
+      EXPECT_TRUE(same_stats(shared.total, fresh.total));
+    };
+    shared_matches_fresh("orient_by_ids", dirs,
+                         [](sim::Runtime& s) { return orient_by_ids(s, 4); });
+    shared_matches_fresh("complete_orientation", dirs,
+                         [](sim::Runtime& s) { return complete_orientation(s, 4); });
+    shared_matches_fresh("partial_orientation", dirs,
+                         [](sim::Runtime& s) { return partial_orientation(s, 4, 2); });
+    shared_matches_fresh("arbdefective_coloring", colors,
+                         [](sim::Runtime& s) { return arbdefective_coloring(s, 4, 2, 2); });
+    shared_matches_fresh(
+        "forests_decomposition", [](const auto& res) { return res.forest_of_slot; },
+        [](sim::Runtime& s) { return forests_decomposition(s, 4); });
+    shared_matches_fresh("legal_coloring", colors,
+                         [](sim::Runtime& s) { return legal_coloring(s, 4, 4); });
   }
 }
 
