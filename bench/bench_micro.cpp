@@ -173,39 +173,29 @@ void bench_phase_boundary(benchio::JsonSink& sink) {
   }
 }
 
-// Per-array CSR footprint (satellite of the giant-graph work): reports the
-// compact layout's bytes/vertex next to a forced-wide build of the same
-// graph, so the 32-bit offset/mirror saving and the owner-table elimination
-// are tracked as first-class bench numbers.
+// Per-array CSR footprint: the 32-bit offset and mirror arrays and the
+// adjacency, with no per-slot owner table, tracked as first-class bench
+// numbers.
 void bench_graph_memory(benchio::JsonSink& sink) {
-  std::cout << "\n== graph memory: compact vs wide CSR ==\n";
+  std::cout << "\n== graph memory: CSR bytes per array ==\n";
   struct Config { const char* family; Graph g; };
   for (const Config& cfg :
        {Config{"near_regular", random_near_regular(1 << 15, 16, 3)},
         Config{"barabasi_albert", barabasi_albert(1 << 15, 8, 3)}}) {
-    const Graph wide = Graph::from_edges(cfg.g.num_vertices(), cfg.g.edges(),
-                                         Graph::Layout::kWide);
     const auto mb = cfg.g.memory_breakdown();
     const double bpv = static_cast<double>(cfg.g.memory_bytes()) /
                        static_cast<double>(cfg.g.num_vertices());
-    const double wide_bpv = static_cast<double>(wide.memory_bytes()) /
-                            static_cast<double>(wide.num_vertices());
-    std::cout << cfg.family << " n=" << cfg.g.num_vertices()
-              << ": compact " << bpv << " B/vertex, wide " << wide_bpv
-              << " B/vertex (" << (cfg.g.compact_layout() ? "compact" : "wide")
-              << " auto-selected)\n";
+    std::cout << cfg.family << " n=" << cfg.g.num_vertices() << ": " << bpv
+              << " B/vertex\n";
     sink.add(benchio::JsonRecord()
                  .field("bench", "graph_memory")
                  .field("family", cfg.family)
                  .field("n", static_cast<std::int64_t>(cfg.g.num_vertices()))
                  .field("edges", cfg.g.num_edges())
-                 .field("compact", cfg.g.compact_layout() ? 1 : 0)
                  .field("offsets_bytes", mb.offsets_bytes)
                  .field("adjacency_bytes", mb.adjacency_bytes)
                  .field("mirror_bytes", mb.mirror_bytes)
-                 .field("owner_bytes", mb.owner_bytes)
-                 .field("bytes_per_vertex", bpv)
-                 .field("wide_bytes_per_vertex", wide_bpv));
+                 .field("bytes_per_vertex", bpv));
   }
 }
 

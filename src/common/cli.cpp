@@ -1,7 +1,10 @@
 #include "common/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "common/check.hpp"
 
@@ -21,16 +24,34 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
+namespace {
+
+/// Parses the whole of `text` as a T, or throws precondition_error naming
+/// the flag: trailing characters, an empty value and an out-of-range or
+/// non-finite number are all rejected.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text, const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  DVC_REQUIRE(ok, "--" + key + " expects " + kind + ", got '" + text + "'");
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(key, it->second, "an integer");
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_number<double>(key, it->second, "a finite number");
 }
 
 std::string Cli::get_string(const std::string& key, const std::string& fallback) const {

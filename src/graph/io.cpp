@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -8,6 +9,18 @@
 #include "common/check.hpp"
 
 namespace dvc {
+namespace {
+
+/// Validates a header's counts before anything is sized or narrowed from
+/// them: n must fit a vertex id, and m may not exceed the n * n ordered
+/// vertex pairs (self loops included) a file could list.
+void check_header(std::int64_t n, std::int64_t m) {
+  DVC_REQUIRE(n >= 0 && n <= std::numeric_limits<V>::max(),
+              "vertex count out of range [0, 2^31)");
+  DVC_REQUIRE(m >= 0 && m <= n * n, "edge count out of range [0, n*n]");
+}
+
+}  // namespace
 
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << g.num_vertices() << ' ' << g.num_edges() << '\n';
@@ -17,12 +30,13 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 Graph read_edge_list(std::istream& is) {
   std::int64_t n = 0, m = 0;
   DVC_REQUIRE(static_cast<bool>(is >> n >> m), "edge list needs an 'n m' header");
-  DVC_REQUIRE(n >= 0 && m >= 0, "edge list header out of range");
-  EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(m));
+  check_header(n, m);
+  EdgeList edges;  // grown as lines arrive: the header's m is not trusted
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t u = 0, v = 0;
     DVC_REQUIRE(static_cast<bool>(is >> u >> v), "edge list truncated");
+    DVC_REQUIRE(u >= 0 && v >= 0 && u < n && v < n,
+                "edge list endpoint out of range");
     edges.emplace_back(static_cast<V>(u), static_cast<V>(v));
   }
   return Graph::from_edges(static_cast<V>(n), edges);
@@ -50,7 +64,7 @@ Graph read_dimacs(std::istream& is) {
       std::string kind;
       DVC_REQUIRE(static_cast<bool>(ls >> kind >> n >> m) && kind == "edge",
                   "malformed DIMACS 'p' line");
-      edges.reserve(static_cast<std::size_t>(m));
+      check_header(n, m);
     } else if (tag == "e") {
       DVC_REQUIRE(n >= 0, "DIMACS 'e' line before 'p' header");
       std::int64_t u = 0, v = 0;

@@ -5,6 +5,9 @@
 // Edge-list format: first line "n m", then m lines "u v" (0-based).
 // DIMACS format:    "p edge n m" header, "e u v" lines (1-based), "c"
 //                   comment lines ignored.
+// Both readers throw precondition_error on malformed input, including a
+// vertex count above INT32_MAX, an edge count outside [0, n*n] and an
+// endpoint outside the vertex range, before narrowing or sizing anything.
 #pragma once
 
 #include <iosfwd>

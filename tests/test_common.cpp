@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -147,6 +148,31 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(cli.get_string("name", ""), "x");
   EXPECT_TRUE(cli.has("flag"));
   EXPECT_EQ(cli.get_int("missing", 7), 7);
+  EXPECT_EQ(cli.get_int("flag", 0), 1);  // a bare flag reads as 1
+
+  // A value that is not wholly a number, or is out of range, throws a
+  // precondition_error that names the flag.
+  const char* bad[] = {"prog",      "--n=abc", "--m=12x",
+                       "--e=",      "--big=9223372036854775808",
+                       "--r=0.5.1", "--h=1e999", "--nan=nan",
+                       "--neg=-3",  "--x=-2.5e-3"};
+  const Cli strict(10, const_cast<char**>(bad));
+  for (const char* key : {"n", "m", "e", "big"}) {
+    try {
+      strict.get_int(key, 0);
+      ADD_FAILURE() << "--" << key << " parsed";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(strict.get_double("r", 0.0), precondition_error);
+  EXPECT_THROW(strict.get_double("h", 0.0), precondition_error);
+  EXPECT_THROW(strict.get_double("nan", 0.0), precondition_error);
+  EXPECT_THROW(strict.get_int("x", 0), precondition_error);
+  EXPECT_EQ(strict.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(strict.get_double("x", 0.0), -2.5e-3);
+  EXPECT_DOUBLE_EQ(strict.get_double("neg", 0.0), -3.0);
 }
 
 TEST(Check, RequireThrowsPreconditionError) {

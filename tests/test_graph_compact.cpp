@@ -1,18 +1,16 @@
-// Layout invariance of the dual-width CSR (DESIGN.md, "Memory layout &
-// giant graphs"):
-//   1. Compact (32-bit) and wide (64-bit) layouts agree on every observable
-//      accessor -- degree, neighbors, slots, mirrors, owners, ports, edges,
-//      digest -- on mixed graph families.
+// Invariants of the 32-bit CSR (DESIGN.md, "Memory layout & giant graphs"):
+//   1. Mirrors are an involution between the two endpoints of every edge,
+//      and slot_owner/slot_port invert slot() on mixed graph families,
+//      isolated vertices included.
 //   2. Every coloring preset is bit-identical (colors, RunStats, PhaseLog)
-//      to the tests-only reference executor in both layouts at shard counts
-//      1/2/8.
-//   3. The compact layout is strictly smaller, and the owner table is gone
-//      from both layouts.
+//      to the tests-only reference executor at shard counts 1/2/8.
+//   3. The CSR holds 4 bytes per vertex plus 8 per slot and no owner
+//      table: its measured bytes sit between that exact size and twice it.
 //   4. The streaming CsrBuilder reproduces Graph::from_edges bit-for-bit,
 //      including the digest, and the degree/port narrowing paths fail as a
 //      structured invariant_error instead of silent int truncation.
 //   5. The builder's CSR arrays and digest match a naive std::set
-//      canonicalizer on seeded multigraph streams, in both layouts.
+//      canonicalizer on seeded multigraph streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,12 +34,7 @@ namespace {
 
 using dvc_test::same_stats;
 
-/// Rebuilds `g` from its edge list in the requested layout.
-Graph rebuild(const Graph& g, Graph::Layout layout) {
-  return Graph::from_edges(g.num_vertices(), g.edges(), layout);
-}
-
-/// The mixed family set the layout suite runs over, paired with a valid
+/// The mixed family set the suite runs over, paired with a valid
 /// arboricity bound for the coloring presets.
 struct Workload {
   const char* family;
@@ -56,110 +49,91 @@ std::vector<Workload> mixed_workloads() {
   return out;
 }
 
-// --- 1. Accessor equivalence across layouts --------------------------------
+// --- 1. Slot, mirror and owner invariants -----------------------------------
 
-void expect_accessors_agree(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  ASSERT_EQ(a.num_slots(), b.num_slots());
-  EXPECT_EQ(a.max_degree(), b.max_degree());
-  EXPECT_EQ(a.digest(), b.digest());
-  EXPECT_EQ(a.edges(), b.edges());
-  for (V v = 0; v < a.num_vertices(); ++v) {
-    ASSERT_EQ(a.degree(v), b.degree(v)) << "degree of " << v;
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    ASSERT_EQ(na.size(), nb.size());
-    for (int p = 0; p < a.degree(v); ++p) {
-      EXPECT_EQ(na[static_cast<std::size_t>(p)], nb[static_cast<std::size_t>(p)]);
-      const std::int64_t s = a.slot(v, p);
-      ASSERT_EQ(s, b.slot(v, p)) << "slot(" << v << "," << p << ")";
-      EXPECT_EQ(a.mirror_slot(s), b.mirror_slot(s));
-      EXPECT_EQ(a.slot_owner(s), v);
-      EXPECT_EQ(b.slot_owner(s), v);
-      EXPECT_EQ(a.slot_port(s), p);
-      EXPECT_EQ(b.slot_port(s), p);
-      // Mirror involution + endpoint consistency, both layouts.
-      EXPECT_EQ(a.mirror_slot(a.mirror_slot(s)), s);
-      EXPECT_EQ(a.slot_owner(a.mirror_slot(s)), a.neighbor(v, p));
+TEST(GraphCompact, MirrorIsAnInvolutionBetweenEndpoints) {
+  for (const Workload& w : mixed_workloads()) {
+    SCOPED_TRACE(w.family);
+    const Graph& g = w.graph;
+    for (V v = 0; v < g.num_vertices(); ++v) {
+      for (int p = 0; p < g.degree(v); ++p) {
+        const std::int64_t s = g.slot(v, p);
+        const std::int64_t t = g.mirror_slot(s);
+        ASSERT_NE(t, s);
+        ASSERT_EQ(g.mirror_slot(t), s) << "slot " << s;
+        const V u = g.neighbor(v, p);
+        ASSERT_EQ(g.slot_owner(t), u);
+        ASSERT_EQ(g.neighbor(u, g.slot_port(t)), v);
+      }
     }
   }
 }
 
-TEST(GraphCompact, LayoutsAgreeOnEveryAccessor) {
-  for (const Workload& w : mixed_workloads()) {
-    SCOPED_TRACE(w.family);
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
-    EXPECT_TRUE(compact.compact_layout());
-    EXPECT_FALSE(wide.compact_layout());
-    expect_accessors_agree(compact, wide);
+void expect_owner_port_round_trip(const Graph& g) {
+  std::int64_t next = 0;  // slots are dense and ascending in (v, port)
+  for (V v = 0; v < g.num_vertices(); ++v) {
+    for (int p = 0; p < g.degree(v); ++p) {
+      const std::int64_t s = g.slot(v, p);
+      ASSERT_EQ(s, next++);
+      ASSERT_EQ(g.slot_owner(s), v) << "slot " << s;
+      ASSERT_EQ(g.slot_port(s), p) << "slot " << s;
+    }
   }
+  EXPECT_EQ(next, g.num_slots());
 }
 
-TEST(GraphCompact, AutoPicksCompactForSmallGraphs) {
-  const Graph g = random_near_regular(256, 6, 11);  // kAuto
-  EXPECT_TRUE(g.compact_layout());
-  expect_accessors_agree(g, rebuild(g, Graph::Layout::kWide));
+TEST(GraphCompact, SlotOwnerAndPortInvertSlotOnMixedWorkloads) {
+  for (const Workload& w : mixed_workloads()) {
+    SCOPED_TRACE(w.family);
+    expect_owner_port_round_trip(w.graph);
+  }
 }
 
 TEST(GraphCompact, SlotOwnerHandlesIsolatedVerticesAndBoundaries) {
   // Empty adjacency rows exercise the upper_bound owner derivation: slots
-  // must skip degree-0 vertices in both layouts.
-  const EdgeList edges = {{0, 1}, {5, 6}, {5, 9}};
-  for (const Graph::Layout layout :
-       {Graph::Layout::kCompact, Graph::Layout::kWide}) {
-    const Graph g = Graph::from_edges(10, edges, layout);
-    ASSERT_EQ(g.num_slots(), 6);
-    for (V v = 0; v < g.num_vertices(); ++v) {
-      for (int p = 0; p < g.degree(v); ++p) {
-        EXPECT_EQ(g.slot_owner(g.slot(v, p)), v);
-        EXPECT_EQ(g.slot_port(g.slot(v, p)), p);
-      }
-    }
-    // First and last slots belong to the first/last non-isolated vertices.
-    EXPECT_EQ(g.slot_owner(0), 0);
-    EXPECT_EQ(g.slot_owner(g.num_slots() - 1), 9);
-  }
+  // must skip degree-0 vertices.
+  const Graph g = Graph::from_edges(10, {{0, 1}, {5, 6}, {5, 9}});
+  ASSERT_EQ(g.num_slots(), 6);
+  expect_owner_port_round_trip(g);
+  // First and last slots belong to the first/last non-isolated vertices.
+  EXPECT_EQ(g.slot_owner(0), 0);
+  EXPECT_EQ(g.slot_owner(g.num_slots() - 1), 9);
+  EXPECT_THROW(g.slot_owner(g.num_slots()), precondition_error);
+  EXPECT_THROW(g.slot_owner(-1), precondition_error);
 }
 
 TEST(GraphCompact, EmptyAndEdgelessGraphsDigestConsistently) {
   const Graph def;
-  EXPECT_TRUE(def.compact_layout());
   EXPECT_EQ(def.digest(), Graph::from_edges(0, {}).digest());
+  EXPECT_EQ(def.memory_bytes(), 0u);
   const Graph iso = Graph::from_edges(5, {});
   EXPECT_EQ(iso.num_slots(), 0);
   EXPECT_EQ(iso.degree(4), 0);
   EXPECT_NE(iso.digest(), def.digest());  // n participates in the digest
 }
 
-// --- 2. Preset bit-identity across layouts and shard counts ----------------
+// --- 2. Preset bit-identity across shard counts ----------------------------
 
-TEST(GraphCompact, AllPresetsBitIdenticalAcrossLayoutsAndShards) {
+TEST(GraphCompact, AllPresetsBitIdenticalToReferenceAcrossShards) {
   constexpr Preset kPresets[] = {
       Preset::LinearColors,     Preset::NearLinearColors,
       Preset::PolylogTime,      Preset::FastSubquadratic,
       Preset::TradeoffAT,       Preset::DeltaPlusOneLowArb};
   for (const Workload& w : mixed_workloads()) {
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
     for (const Preset preset : kPresets) {
       const LegalColoringResult base =
-          dvc_test::reference_coloring(compact, w.arboricity_bound, preset);
+          dvc_test::reference_coloring(w.graph, w.arboricity_bound, preset);
       for (const int shards : {1, 2, 8}) {
+        SCOPED_TRACE(std::string(w.family) + " / " + preset_name(preset) +
+                     " / shards=" + std::to_string(shards));
         Knobs knobs;
         knobs.shards = shards;
-        for (const Graph* g : {&compact, &wide}) {
-          SCOPED_TRACE(std::string(w.family) + " / " + preset_name(preset) +
-                       " / shards=" + std::to_string(shards) +
-                       (g == &wide ? " / wide" : " / compact"));
-          const LegalColoringResult res =
-              color_graph(*g, w.arboricity_bound, preset, knobs);
-          EXPECT_EQ(res.colors, base.colors);
-          EXPECT_EQ(res.distinct, base.distinct);
-          EXPECT_TRUE(same_stats(res.total, base.total));
-          EXPECT_TRUE(res.phases == base.phases);
-        }
+        const LegalColoringResult res =
+            color_graph(w.graph, w.arboricity_bound, preset, knobs);
+        EXPECT_EQ(res.colors, base.colors);
+        EXPECT_EQ(res.distinct, base.distinct);
+        EXPECT_TRUE(same_stats(res.total, base.total));
+        EXPECT_TRUE(res.phases == base.phases);
       }
     }
   }
@@ -167,30 +141,22 @@ TEST(GraphCompact, AllPresetsBitIdenticalAcrossLayoutsAndShards) {
 
 // --- 3. Memory accounting --------------------------------------------------
 
-TEST(GraphCompact, CompactLayoutIsStrictlySmaller) {
+TEST(GraphCompact, CsrBytesWithinTwiceTheExactFootprint) {
   for (const Workload& w : mixed_workloads()) {
     SCOPED_TRACE(w.family);
-    const Graph compact = rebuild(w.graph, Graph::Layout::kCompact);
-    const Graph wide = rebuild(w.graph, Graph::Layout::kWide);
-    const auto cb = compact.memory_breakdown();
-    const auto wb = wide.memory_breakdown();
-    // Owner table eliminated in BOTH layouts.
-    EXPECT_EQ(cb.owner_bytes, 0u);
-    EXPECT_EQ(wb.owner_bytes, 0u);
-    // Offsets and mirrors halve; adjacency is V-width either way.
-    EXPECT_LT(cb.offsets_bytes, wb.offsets_bytes);
-    EXPECT_LT(cb.mirror_bytes, wb.mirror_bytes);
-    EXPECT_EQ(cb.adjacency_bytes, wb.adjacency_bytes);
-    EXPECT_LT(compact.memory_bytes(), wide.memory_bytes());
-    EXPECT_EQ(compact.memory_bytes(), cb.total());
-    // Compact: 4B offset/vertex + 4B adj + 4B mirror per slot; capacity
-    // slack from vector growth stays within 2x of the exact size.
-    const auto slots = static_cast<std::uint64_t>(compact.num_slots());
-    const std::uint64_t exact =
-        4 * (static_cast<std::uint64_t>(compact.num_vertices()) + 1) +
-        8 * slots;
-    EXPECT_GE(compact.memory_bytes(), exact);
-    EXPECT_LE(compact.memory_bytes(), 2 * exact);
+    const Graph& g = w.graph;
+    const auto mb = g.memory_breakdown();
+    EXPECT_EQ(g.memory_bytes(), mb.total());
+    // 4 B offset per vertex (plus the sentinel) and 4 B adjacency + 4 B
+    // mirror per slot; capacity slack from vector growth stays within 2x.
+    const auto vertices = static_cast<std::uint64_t>(g.num_vertices()) + 1;
+    const auto slots = static_cast<std::uint64_t>(g.num_slots());
+    EXPECT_EQ(mb.offsets_bytes, 4 * vertices);
+    EXPECT_GE(mb.adjacency_bytes, 4 * slots);
+    EXPECT_GE(mb.mirror_bytes, 4 * slots);
+    const std::uint64_t exact = 4 * vertices + 8 * slots;
+    EXPECT_GE(g.memory_bytes(), exact);
+    EXPECT_LE(g.memory_bytes(), 2 * exact);
   }
 }
 
@@ -216,31 +182,26 @@ TEST(GraphCompact, CsrBuilderMatchesFromEdgesBitForBit) {
   for (const auto& [u, v] : stream) b.add(u, v);
   const Graph streamed = b.finish();
   const Graph reference = Graph::from_edges(5, stream);
+  ASSERT_EQ(streamed.num_slots(), reference.num_slots());
+  EXPECT_EQ(streamed.max_degree(), reference.max_degree());
   EXPECT_EQ(streamed.digest(), reference.digest());
   EXPECT_EQ(streamed.edges(), reference.edges());
-  expect_accessors_agree(streamed, reference);
-
-  // Forcing the wide layout through the builder preserves the digest too.
-  CsrBuilder bw(5);
-  for (const auto& [u, v] : stream) bw.add(u, v);
-  bw.next_pass();
-  for (const auto& [u, v] : stream) bw.add(u, v);
-  const Graph wide = bw.finish(Graph::Layout::kWide);
-  EXPECT_FALSE(wide.compact_layout());
-  EXPECT_EQ(wide.digest(), reference.digest());
+  for (std::int64_t s = 0; s < streamed.num_slots(); ++s) {
+    EXPECT_EQ(streamed.mirror_slot(s), reference.mirror_slot(s));
+    EXPECT_EQ(streamed.slot_owner(s), reference.slot_owner(s));
+  }
 }
 
 TEST(GraphCompact, CsrBuilderRejectsBadInput) {
   CsrBuilder b(4);
   EXPECT_THROW(b.add(0, 4), precondition_error);
   EXPECT_THROW(b.add(-1, 2), precondition_error);
-  // Forcing kCompact on a graph that fits is fine.
   b.add(0, 1);
   b.next_pass();
   b.add(0, 1);
-  const Graph g = b.finish(Graph::Layout::kCompact);
-  EXPECT_TRUE(g.compact_layout());
+  const Graph g = b.finish();
   EXPECT_EQ(g.num_edges(), 1);
+  EXPECT_THROW(b.finish(), precondition_error);  // finish is one-shot
   // A fill pass with more edges than the count pass throws before it can
   // write past a row or past the raw array.
   CsrBuilder extra(2);
@@ -347,28 +308,21 @@ EdgeList multigraph_stream(V n, std::uint64_t seed) {
   return stream;
 }
 
-Graph build_two_pass(V n, const EdgeList& stream, Graph::Layout layout) {
+Graph build_two_pass(V n, const EdgeList& stream) {
   CsrBuilder b(n);
   for (const auto& [u, v] : stream) b.add(u, v);
   b.next_pass();
   for (const auto& [u, v] : stream) b.add(u, v);
-  return b.finish(layout);
+  return b.finish();
 }
 
 TEST(GraphCompact, CsrBuilderMatchesNaiveOracle) {
   for (const V n : {0, 1, 2, 7, 64, 300}) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
       const EdgeList stream = multigraph_stream(n, seed);
-      for (const Graph::Layout layout :
-           {Graph::Layout::kCompact, Graph::Layout::kWide}) {
-        SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                     std::to_string(seed) +
-                     (layout == Graph::Layout::kWide ? " wide" : " compact"));
-        const Graph built = build_two_pass(n, stream, layout);
-        EXPECT_EQ(built.compact_layout(), layout == Graph::Layout::kCompact);
-        expect_matches_oracle(built, n, stream);
-        expect_matches_oracle(Graph::from_edges(n, stream, layout), n, stream);
-      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      expect_matches_oracle(build_two_pass(n, stream), n, stream);
+      expect_matches_oracle(Graph::from_edges(n, stream), n, stream);
     }
   }
 }

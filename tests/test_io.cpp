@@ -176,5 +176,32 @@ TEST(GraphIo, DimacsRejectsMoreMalformedInput) {
   }
 }
 
+TEST(GraphIo, ReadersRejectOutOfRangeCountsAndEndpoints) {
+  // Every header count and endpoint is range-checked before it is narrowed
+  // to a vertex id or used to size a buffer.
+  for (const char* text : {
+           "3 1\n4294967297 2\n",  // endpoint would wrap to vertex 1
+           "4294967298 1\n0 1\n",  // n does not fit a vertex id
+           "3 100000000000000000\n0 1\n",  // m beyond n*n
+       }) {
+    SCOPED_TRACE(text);
+    std::stringstream ss(text);
+    EXPECT_THROW(read_edge_list(ss), precondition_error);
+  }
+  for (const char* text : {
+           "p edge 5 -1\n",
+           "p edge 3 100000000000000000\n",
+           "p edge 4294967298 1\ne 4294967297 2\n",
+           "p edge 3 10\n",  // m beyond n*n
+       }) {
+    SCOPED_TRACE(text);
+    std::stringstream ss(text);
+    EXPECT_THROW(read_dimacs(ss), precondition_error);
+  }
+  // The largest announced count still reads the edges actually listed.
+  std::stringstream ss("p edge 3 9\ne 1 2\n");
+  EXPECT_EQ(read_dimacs(ss).num_edges(), 1);
+}
+
 }  // namespace
 }  // namespace dvc
