@@ -6,10 +6,13 @@
 //                          [--a=0 (0: certify automatically)]
 //                          [--output=coloring.txt]
 //
-// With no --input, a demo instance is generated and colored.
+// With no --input, a demo instance is generated and colored. Exits 0 on a
+// legal coloring, 1 after printing legal=NO (or on an unreadable input),
+// and 2 on an unknown --preset.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "core/api.hpp"
@@ -20,6 +23,25 @@
 int main(int argc, char** argv) {
   using namespace dvc;
   const Cli cli(argc, argv);
+
+  const std::pair<const char*, Preset> presets[] = {
+      {"near-linear", Preset::NearLinearColors},
+      {"linear", Preset::LinearColors},
+      {"polylog", Preset::PolylogTime},
+      {"tradeoff", Preset::TradeoffAT},
+      {"delta", Preset::DeltaPlusOneLowArb},
+  };
+  const std::string preset_arg = cli.get_string("preset", "near-linear");
+  const auto chosen =
+      std::find_if(std::begin(presets), std::end(presets),
+                   [&](const auto& p) { return preset_arg == p.first; });
+  if (chosen == std::end(presets)) {
+    std::cerr << "unknown --preset=" << preset_arg << "; accepted:";
+    for (const auto& p : presets) std::cerr << " " << p.first;
+    std::cerr << "\n";
+    return 2;
+  }
+  const Preset preset = chosen->second;
 
   Graph g;
   const std::string input = cli.get_string("input", "");
@@ -46,18 +68,12 @@ int main(int argc, char** argv) {
               << ", " << hi << "])\n";
   }
 
-  const std::string preset_arg = cli.get_string("preset", "near-linear");
-  Preset preset = Preset::NearLinearColors;
-  if (preset_arg == "linear") preset = Preset::LinearColors;
-  else if (preset_arg == "polylog") preset = Preset::PolylogTime;
-  else if (preset_arg == "tradeoff") preset = Preset::TradeoffAT;
-  else if (preset_arg == "delta") preset = Preset::DeltaPlusOneLowArb;
-
   const LegalColoringResult res = color_graph(g, a, preset);
+  const bool legal = is_legal_coloring(g, res.colors);
   std::cout << preset_name(preset) << ": " << res.distinct << " colors in "
             << res.total.rounds << " simulated LOCAL rounds ("
             << res.total.messages << " messages); legal="
-            << (is_legal_coloring(g, res.colors) ? "yes" : "NO") << "\n";
+            << (legal ? "yes" : "NO") << "\n";
 
   const std::string output = cli.get_string("output", "");
   if (!output.empty()) {
@@ -65,5 +81,5 @@ int main(int argc, char** argv) {
     write_coloring(out, res.colors);
     std::cout << "Coloring written to " << output << "\n";
   }
-  return 0;
+  return legal ? 0 : 1;
 }

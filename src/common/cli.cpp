@@ -13,14 +13,16 @@ namespace dvc {
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
-    if (arg.substr(0, 2) != "--") continue;
+    // A stray word (`--n 300` spells the value as its own argument) would
+    // otherwise be dropped and leave the flag reading as "1".
+    DVC_REQUIRE(arg.size() > 2 && arg.substr(0, 2) == "--" && arg[2] != '=',
+                "unexpected argument '" + std::string(arg) +
+                    "': flags are --key or --key=value");
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
-    if (eq == std::string_view::npos) {
-      values_[std::string(arg)] = "1";
-    } else {
-      values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-    }
+    const std::string_view value =
+        eq == std::string_view::npos ? "1" : arg.substr(eq + 1);
+    values_[std::string(arg.substr(0, eq))] = std::string(value);
   }
 }
 

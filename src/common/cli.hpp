@@ -9,6 +9,8 @@ namespace dvc {
 
 class Cli {
  public:
+  /// Throws precondition_error naming the first argument that is not
+  /// `--key` or `--key=value`.
   Cli(int argc, char** argv);
 
   /// The flag's value, or `fallback` if the flag is absent. A value that is

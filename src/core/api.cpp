@@ -25,7 +25,6 @@ LegalColoringResult color_graph(sim::Runtime& rt, int arboricity_bound,
                                 Preset preset, const Knobs& knobs) {
   DVC_REQUIRE(arboricity_bound >= 1, "arboricity bound must be >= 1");
   const sim::ScopedCongestWords congest_guard(rt, knobs.congest_words);
-  const sim::ScopedFaultPlan fault_guard(rt, knobs.fault_plan);
   switch (preset) {
     case Preset::LinearColors:
       return legal_coloring_linear(rt, arboricity_bound, knobs.mu, knobs.eps);
@@ -61,7 +60,6 @@ LegalColoringResult color_graph(const Graph& g, int arboricity_bound, Preset pre
 
 MisResult mis_graph(sim::Runtime& rt, int arboricity_bound, const Knobs& knobs) {
   const sim::ScopedCongestWords congest_guard(rt, knobs.congest_words);
-  const sim::ScopedFaultPlan fault_guard(rt, knobs.fault_plan);
   return deterministic_mis(rt, arboricity_bound, knobs.mu, knobs.eps);
 }
 

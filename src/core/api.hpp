@@ -60,12 +60,6 @@ struct Knobs {
   /// program. Metering itself is always on (RunStats/PhaseLog bandwidth
   /// counters); the budget only adds enforcement.
   int congest_words = 0;
-  /// Deterministic fault injection for the pipeline (chaos testing, see
-  /// sim/fault.hpp): non-null installs the plan for the duration of the
-  /// call via ScopedFaultPlan. DIRECT synchronous calls only -- the pointer
-  /// must outlive the call, so jobs submitted to the service use
-  /// service::JobSpec::fault_plan (held by value) instead.
-  const sim::FaultPlan* fault_plan = nullptr;
 };
 
 std::string preset_name(Preset p);
@@ -80,7 +74,10 @@ LegalColoringResult color_graph(const Graph& g, int arboricity_bound, Preset pre
 /// Same, on a caller-provided session (batched runs, custom phase logging,
 /// regression probes). rt.graph() is the input; knobs.shards is ignored --
 /// the session's shard count applies. knobs.congest_words > 0 imposes the
-/// CONGEST budget for the duration of the call (restored afterwards).
+/// CONGEST budget for the duration of the call (restored afterwards). To
+/// run under deterministic fault injection (sim/fault.hpp), install the
+/// plan on `rt` with sim::ScopedFaultPlan around the call; service jobs
+/// carry theirs in service::JobSpec::fault_plan.
 LegalColoringResult color_graph(sim::Runtime& rt, int arboricity_bound,
                                 Preset preset, const Knobs& knobs = Knobs{});
 

@@ -1,17 +1,17 @@
 // Bounded MPMC queue for the coloring service's job pipeline.
 //
-// A fixed-capacity queue guarded by one mutex and two condition variables:
-// producers block in push() while the queue is full (backpressure -- the
-// service's submission rate is bounded by its drain rate, so an unbounded
-// burst cannot exhaust memory), consumers block in pop() while it is empty.
-// try_push() is the non-blocking probe the service's try_submit() exposes.
-// close() wakes everybody: subsequent pushes fail, pops keep returning
-// queued items until the queue drains, then fail -- which is exactly the
-// graceful-shutdown order (stop accepting, finish what was accepted, let
-// workers exit).
+// A fixed-capacity queue guarded by one mutex and two condition variables.
+// There are two ways in. push_bulk() is the admission path: it blocks while
+// the queue is full (backpressure -- the service's submission rate is
+// bounded by its drain rate, so an unbounded burst cannot exhaust memory).
+// push_front() is the capacity-exempt retry path. Consumers block in pop()
+// while the queue is empty. close() wakes everybody: subsequent pushes
+// fail, pops keep returning queued items until the queue drains, then fail
+// -- which is exactly the graceful-shutdown order (stop accepting, finish
+// what was accepted, let workers exit).
 //
 // Priority lanes: the queue is templated on a lane count (default 1 = plain
-// FIFO). Each push names a lane; pop() always serves the lowest-numbered
+// FIFO). Each item names a lane; pop() always serves the lowest-numbered
 // non-empty lane, FIFO within a lane. The service maps Priority::kHigh/
 // kNormal/kLow onto lanes 0/1/2, so a high-priority job overtakes every
 // queued batch job without any re-sorting of the queue itself. The capacity
@@ -61,20 +61,6 @@ class BoundedQueue {
     return sizes;
   }
 
-  /// Blocks while the queue is full. Returns false iff the queue was closed
-  /// (the item is not enqueued).
-  bool push(T item, int lane = 0) {
-    check_lane(lane);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock, [&] { return count_ < capacity_ || closed_; });
-      if (closed_) return false;
-      enqueue_locked(std::move(item), lane);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Front-of-lane push that is EXEMPT from the capacity bound: the item is
   /// enqueued even when the queue is full, ahead of everything queued in its
   /// lane. Returns false iff the queue is closed (the item is not enqueued).
@@ -99,24 +85,14 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push. Returns false when the queue is full or closed.
-  bool try_push(T item, int lane = 0) {
-    check_lane(lane);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || count_ == capacity_) return false;
-      enqueue_locked(std::move(item), lane);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Enqueues every item, in order, blocking for space as needed (one lock
-  /// acquisition per free-space wakeup, not per item). `lane_of(item)` names
-  /// each item's lane. Returns the number of items enqueued -- fewer than
-  /// items.size() only if the queue is closed mid-batch.
+  /// Moves every item into the queue, in order, blocking for space as
+  /// needed (one lock acquisition per free-space wakeup, not per item).
+  /// `lane_of(item)` names each item's lane. Returns the number of items
+  /// enqueued -- fewer than items.size() only if the queue is closed
+  /// mid-batch, in which case items[returned..] were not touched and stay
+  /// with the caller.
   template <typename LaneFn>
-  std::size_t push_bulk(std::vector<T> items, LaneFn&& lane_of) {
+  std::size_t push_bulk(std::vector<T>& items, LaneFn&& lane_of) {
     std::size_t pushed = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     while (pushed < items.size()) {
@@ -126,12 +102,14 @@ class BoundedQueue {
       while (pushed < items.size() && count_ < capacity_) {
         const int lane = lane_of(items[pushed]);
         check_lane(lane);
-        enqueue_locked(std::move(items[pushed++]), lane);
+        lanes_[static_cast<std::size_t>(lane)].push_back(
+            std::move(items[pushed++]));
+        ++count_;
         ++batch;
       }
-      // Notify with the mutex released, matching push()/pop(): notifying
-      // under the lock would wake consumers straight into a futile block on
-      // the mutex the notifier still holds (hurry-up-and-wait).
+      // Notify with the mutex released, matching pop(): notifying under the
+      // lock would wake consumers straight into a futile block on the mutex
+      // the notifier still holds (hurry-up-and-wait).
       lock.unlock();
       if (batch == 1) {
         not_empty_.notify_one();
@@ -141,10 +119,6 @@ class BoundedQueue {
       lock.lock();
     }
     return pushed;
-  }
-
-  std::size_t push_bulk(std::vector<T> items) {
-    return push_bulk(std::move(items), [](const T&) { return 0; });
   }
 
   /// Blocks while the queue is empty and open. Returns false iff the queue
@@ -184,11 +158,6 @@ class BoundedQueue {
  private:
   static void check_lane(int lane) {
     DVC_REQUIRE(lane >= 0 && lane < Lanes, "queue lane out of range");
-  }
-
-  void enqueue_locked(T item, int lane) {
-    lanes_[static_cast<std::size_t>(lane)].push_back(std::move(item));
-    ++count_;
   }
 
   mutable std::mutex mutex_;

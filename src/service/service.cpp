@@ -31,11 +31,24 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
   return detail::digest_mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
-void validate_dist_spec(const JobSpec::DistSpec& dist) {
-  DVC_REQUIRE(dist.workers >= 0,
+void validate_spec(const JobSpec& spec) {
+  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
+  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
+  DVC_REQUIRE(spec.dist.workers >= 0,
               "JobSpec::dist.workers must be >= 0 (0 = in-process)");
-  DVC_REQUIRE(dist.kill_attempt >= 0,
+  DVC_REQUIRE(spec.dist.kill_attempt >= 0,
               "JobSpec::dist.kill_attempt must be >= 0");
+}
+
+/// The identity fields of job `id`'s result, status kFailed until the
+/// caller decides otherwise.
+JobResult result_for(std::uint64_t id, const JobSpec& spec) {
+  JobResult res;
+  res.id = id;
+  res.graph_digest = spec.graph.digest;
+  res.preset = spec.preset;
+  res.priority = spec.priority;
+  return res;
 }
 
 double percentile_sorted_ms(const std::vector<double>& sorted, double q) {
@@ -228,8 +241,6 @@ ColoringService::ColoringService(ServiceConfig config)
                     "default shard count must be >= 1");
         // 0 means "use the default"; a negative cap is a caller bug, not a
         // request for the default -- reject it loudly rather than mask it.
-        DVC_REQUIRE(config.max_idle_sessions_per_key >= 0,
-                    "max_idle_sessions_per_key must be >= 0");
         DVC_REQUIRE(config.max_idle_sessions_total >= 0,
                     "max_idle_sessions_total must be >= 0");
         DVC_REQUIRE(config.result_cache_capacity >= 0,
@@ -243,15 +254,12 @@ ColoringService::ColoringService(ServiceConfig config)
                     "retry.quarantine_threshold must be >= 0");
         DVC_REQUIRE(config.retry.watchdog_idle_rounds >= 0,
                     "retry.watchdog_idle_rounds must be >= 0");
-        if (config.max_idle_sessions_per_key == 0) {
-          config.max_idle_sessions_per_key = config.workers;
-        }
         if (config.max_idle_sessions_total == 0) {
           config.max_idle_sessions_total = 4 * config.workers;
         }
         return config;
       }()),
-      pool_(config_.max_idle_sessions_per_key, config_.max_idle_sessions_total),
+      pool_(config_.workers, config_.max_idle_sessions_total),
       cache_(static_cast<std::size_t>(config_.result_cache_capacity)),
       queue_(config_.queue_capacity),
       paused_(config_.start_paused) {
@@ -285,188 +293,72 @@ const char* ColoringService::admission_reject_locked(const JobSpec& spec,
   return nullptr;
 }
 
-JobTicket ColoringService::admit_locked(JobSpec& spec, Job& out) {
-  out.id = next_id_++;
-  out.spec = std::move(spec);
-  out.enqueued_at = std::chrono::steady_clock::now();
-  out.cancel = std::make_shared<std::atomic<bool>>(false);
-  cancel_tokens_.emplace(out.id, out.cancel);
-  ++digest_queued_[out.spec.graph.digest];
-  ++submitted_;
-  return JobTicket{out.id};
-}
-
-void ColoringService::forget_queued_locked(const Job& job) {
-  const auto it = digest_queued_.find(job.spec.graph.digest);
+void ColoringService::forget_queued_locked(std::uint64_t digest) {
+  const auto it = digest_queued_.find(digest);
   if (it != digest_queued_.end() && --it->second == 0) digest_queued_.erase(it);
 }
 
 JobTicket ColoringService::submit(JobSpec spec) {
-  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-              "Knobs::fault_plan is a borrowed pointer for direct calls; "
-              "service jobs carry the plan by value in JobSpec::fault_plan");
-  validate_dist_spec(spec.dist);
-  Job job;
-  JobTicket ticket;
-  const char* rejection = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    DVC_REQUIRE(accepting_, "service is shut down");
-    if (config_.shed_on_saturation) {
-      rejection = admission_reject_locked(spec, 0);
-    }
-    if (rejection != nullptr) {
-      // Shed: reserve the id (the ticket stays claimable like any other)
-      // but skip the queue-side bookkeeping -- the job never queues.
-      job.id = next_id_++;
-      job.spec = std::move(spec);
-      ticket = JobTicket{job.id};
-      ++submitted_;
-    } else {
-      ticket = admit_locked(spec, job);
-    }
-  }
-  if (rejection != nullptr) {
-    JobResult shed;
-    shed.id = ticket.id;
-    shed.status = JobStatus::kRejected;
-    shed.error = rejection;
-    shed.graph_digest = job.spec.graph.digest;
-    shed.preset = job.spec.preset;
-    shed.priority = job.spec.priority;
-    deliver(std::move(shed));
-    return ticket;
-  }
-  const int lane = static_cast<int>(job.spec.priority);
-  const std::uint64_t id = ticket.id;
-  const Priority priority = job.spec.priority;
-  const std::uint64_t digest = job.spec.graph.digest;
-  const Preset preset = job.spec.preset;
-  if (!queue_.push(std::move(job), lane)) {
-    // Shutdown raced the enqueue: fail the job structurally so the ticket
-    // stays claimable and drain() still converges.
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto it = digest_queued_.find(digest);
-      if (it != digest_queued_.end() && --it->second == 0) {
-        digest_queued_.erase(it);
-      }
-    }
-    JobResult failed;
-    failed.id = id;
-    failed.status = JobStatus::kFailed;
-    failed.error = "service shut down before the job was queued";
-    failed.graph_digest = digest;
-    failed.preset = preset;
-    failed.priority = priority;
-    deliver(std::move(failed));
-  }
-  return ticket;
-}
-
-std::optional<JobTicket> ColoringService::try_submit(JobSpec spec) {
-  DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-  DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-  DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-              "Knobs::fault_plan is a borrowed pointer for direct calls; "
-              "service jobs carry the plan by value in JobSpec::fault_plan");
-  validate_dist_spec(spec.dist);
-  // The id/submitted_ reservation and the non-blocking enqueue happen under
-  // one state-lock hold: reserving first and rolling back on a full queue
-  // would let a concurrent drain() capture a submitted_ target that no job
-  // will ever complete (and wait forever). Lock order state -> queue is
-  // safe: no path acquires them in the opposite nesting. try_submit
-  // bypasses the shedding policy by design -- the caller IS the admission
-  // control here, and a full queue answers nullopt either way.
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  DVC_REQUIRE(accepting_, "service is shut down");
-  Job job;
-  job.id = next_id_;
-  job.spec = std::move(spec);
-  job.enqueued_at = std::chrono::steady_clock::now();
-  job.cancel = std::make_shared<std::atomic<bool>>(false);
-  const int lane = static_cast<int>(job.spec.priority);
-  const std::uint64_t digest = job.spec.graph.digest;
-  auto token = job.cancel;
-  if (!queue_.try_push(std::move(job), lane)) return std::nullopt;
-  const JobTicket ticket{next_id_};
-  cancel_tokens_.emplace(next_id_, std::move(token));
-  ++digest_queued_[digest];
-  ++next_id_;
-  ++submitted_;
-  return ticket;
+  std::vector<JobSpec> one;
+  one.push_back(std::move(spec));
+  return submit_batch(std::move(one)).front();
 }
 
 std::vector<JobTicket> ColoringService::submit_batch(std::vector<JobSpec> specs) {
+  // Validate the whole batch before admitting any of it: a throw must leave
+  // no ticket issued, or drain() would wait for a job that never runs.
+  for (const JobSpec& spec : specs) validate_spec(spec);
   std::vector<JobTicket> tickets;
   tickets.reserve(specs.size());
   std::vector<Job> jobs;
   jobs.reserve(specs.size());
   std::vector<JobResult> rejected;
-  // (id, digest) per admitted job in queue order, for shutdown-race rollback.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> admitted_ids;
-  admitted_ids.reserve(specs.size());
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     DVC_REQUIRE(accepting_, "service is shut down");
+    const auto now = std::chrono::steady_clock::now();
     for (JobSpec& spec : specs) {
-      DVC_REQUIRE(spec.graph, "job spec has no graph (intern it first)");
-      DVC_REQUIRE(spec.deadline_ms >= 0.0, "deadline must be >= 0 ms");
-      DVC_REQUIRE(spec.knobs.fault_plan == nullptr,
-                  "Knobs::fault_plan is a borrowed pointer for direct calls; "
-                  "service jobs carry the plan by value in "
-                  "JobSpec::fault_plan");
-      validate_dist_spec(spec.dist);
-      const char* rejection =
-          config_.shed_on_saturation
-              ? admission_reject_locked(spec, jobs.size())
-              : nullptr;
-      if (rejection != nullptr) {
-        JobResult shed;
-        shed.id = next_id_++;
+      const std::uint64_t id = next_id_++;
+      ++submitted_;
+      tickets.push_back(JobTicket{id});
+      if (const char* rejection =
+              config_.shed_on_saturation
+                  ? admission_reject_locked(spec, jobs.size())
+                  : nullptr) {
+        // Shed: the ticket stays claimable like any other, but the job
+        // never queues, so it gets no queue-side bookkeeping.
+        JobResult shed = result_for(id, spec);
         shed.status = JobStatus::kRejected;
         shed.error = rejection;
-        shed.graph_digest = spec.graph.digest;
-        shed.preset = spec.preset;
-        shed.priority = spec.priority;
-        tickets.push_back(JobTicket{shed.id});
-        ++submitted_;
         rejected.push_back(std::move(shed));
         continue;
       }
-      Job job;
-      tickets.push_back(admit_locked(spec, job));
-      admitted_ids.emplace_back(job.id, job.spec.graph.digest);
-      jobs.push_back(std::move(job));
+      Job& job = jobs.emplace_back();
+      job.id = id;
+      job.spec = std::move(spec);
+      job.enqueued_at = now;
+      job.cancel = std::make_shared<std::atomic<bool>>(false);
+      cancel_tokens_.emplace(id, job.cancel);
+      ++digest_queued_[job.spec.graph.digest];
     }
   }
   for (JobResult& shed : rejected) deliver(std::move(shed));
   // Bulk enqueue outside the state lock: push_bulk may block for space, and
   // blocking while holding state_mutex_ would stall wait()/poll()/metrics().
   const std::size_t pushed = queue_.push_bulk(
-      std::move(jobs),
-      [](const Job& j) { return static_cast<int>(j.spec.priority); });
-  // Jobs enqueue in admitted_ids order, so exactly the tail beyond `pushed`
-  // never reached the queue (possible only on a shutdown race). Fail each
-  // structurally so every ticket stays claimable and drain() converges.
-  if (pushed < admitted_ids.size()) {
+      jobs, [](const Job& j) { return static_cast<int>(j.spec.priority); });
+  if (pushed < jobs.size()) {
+    // Shutdown closed the queue mid-batch: jobs[pushed..] never reached it.
+    // Fail each structurally so every ticket stays claimable and drain()
+    // converges (deliver erases the cancel token).
     {
-      // Roll back the digest-class occupancy admit_locked recorded (the
-      // cancel token is erased by deliver below).
       std::lock_guard<std::mutex> lock(state_mutex_);
-      for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
-        const auto it = digest_queued_.find(admitted_ids[i].second);
-        if (it != digest_queued_.end() && --it->second == 0) {
-          digest_queued_.erase(it);
-        }
+      for (std::size_t i = pushed; i < jobs.size(); ++i) {
+        forget_queued_locked(jobs[i].spec.graph.digest);
       }
     }
-    for (std::size_t i = pushed; i < admitted_ids.size(); ++i) {
-      JobResult failed;
-      failed.id = admitted_ids[i].first;
-      failed.status = JobStatus::kFailed;
+    for (std::size_t i = pushed; i < jobs.size(); ++i) {
+      JobResult failed = result_for(jobs[i].id, jobs[i].spec);
       failed.error = "service shut down before the job was queued";
       deliver(std::move(failed));
     }
@@ -542,17 +434,20 @@ void ColoringService::shutdown() {
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     accepting_ = false;
-    paused_ = false;  // gated workers must wake to drain the queue
   }
-  pause_cv_.notify_all();
+  // Close the queue before opening the worker gate: a batch blocked in
+  // push_bulk on a paused service then sees the close, and its unqueued
+  // tail fails, instead of slipping into space a draining worker frees.
   queue_.close();
-  bool expected = false;
+  bool joined = false;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    expected = joined_;
+    paused_ = false;  // gated workers must wake to drain the queue
+    joined = joined_;
     joined_ = true;
   }
-  if (!expected) {
+  pause_cv_.notify_all();
+  if (!joined) {
     for (std::thread& t : workers_) t.join();
   }
 }
@@ -659,7 +554,7 @@ void ColoringService::worker_loop() {
       // The job left the queue: its digest class no longer occupies queue
       // space, so the shedding policy must stop counting it.
       std::lock_guard<std::mutex> lock(state_mutex_);
-      forget_queued_locked(job);
+      forget_queued_locked(job.spec.graph.digest);
     }
     // Retry backoff booked at requeue time (deterministic per-job jitter).
     if (job.not_before != std::chrono::steady_clock::time_point{}) {
@@ -673,11 +568,7 @@ void ColoringService::worker_loop() {
 
 std::optional<JobResult> ColoringService::execute(Job job) {
   const JobSpec& spec = job.spec;
-  JobResult res;
-  res.id = job.id;
-  res.preset = spec.preset;
-  res.priority = spec.priority;
-  res.graph_digest = spec.graph.digest;
+  JobResult res = result_for(job.id, spec);
   res.attempts = job.attempt;  // bumped below once a run actually starts
   const int shards =
       spec.knobs.shards > 0 ? spec.knobs.shards : config_.default_shards;
@@ -771,7 +662,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
     // runtime suite proves shared-vs-fresh identity), which is what makes
     // pool reuse invisible to callers.
     entry.rt->reset_log();
-    if (job.resume_ckpt && config_.retry.resume_from_checkpoint) {
+    if (job.resume_ckpt) {
       // Restore the phase-boundary state of the failed attempt and arm
       // replay verification: the re-run below re-executes the pipeline
       // from the top, and every phase up to the checkpoint is verified
@@ -804,8 +695,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
       // that killed it. Scoped: a pooled session never inherits a plan.
       sim::FaultPlan plan = spec.fault_plan;
       plan.salt = job.attempt;
-      const sim::ScopedFaultPlan fault_guard(*entry.rt,
-                                             plan_armed ? &plan : nullptr);
+      const sim::ScopedFaultPlan fault_guard(*entry.rt, std::move(plan));
       // Distributed execution: install the transport for the span of this
       // run. The scheduled worker kill arms only on its designated attempt,
       // so the retry of a killed job runs clean and recovery is observable.
@@ -852,7 +742,7 @@ std::optional<JobResult> ColoringService::execute(Job job) {
         // log holds only COMPLETED phases.) Best-effort: if the snapshot
         // itself fails -- say, under allocation-failure injection -- the
         // retry simply re-runs from scratch.
-        if (!job.resume_ckpt && config_.retry.resume_from_checkpoint) {
+        if (!job.resume_ckpt) {
           try {
             job.resume_ckpt =
                 std::make_shared<const std::vector<std::uint8_t>>(
@@ -972,10 +862,7 @@ std::optional<JobResult> ColoringService::handle_transient(
     // and fail structurally so the ticket stays claimable.
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto it = digest_queued_.find(digest);
-      if (it != digest_queued_.end() && --it->second == 0) {
-        digest_queued_.erase(it);
-      }
+      forget_queued_locked(digest);
     }
     res.status = JobStatus::kFailed;
     res.ok = false;

@@ -6,7 +6,7 @@
 // Architecture (see DESIGN.md, "Coloring service" and "Service policy &
 // metrics"):
 //
-//   submit()/submit_batch()  ->  BoundedQueue<Job, 3>  ->  worker threads
+//   submit_batch()  ------->  BoundedQueue<Job, 3>  ->  worker threads
 //        |  admission control       (priority lanes)       |  deadline/
 //        v  (shed when saturated)                          |  cancel check
 //   rejected JobResult                                     v
@@ -31,11 +31,12 @@
 //     guarantee, now amortized across CALLERS, not just across the phases
 //     of one pipeline).
 //   * The job queue is a bounded MPMC with one lane per Priority: high
-//     overtakes normal overtakes low, FIFO within a class. submit() blocks
-//     when full (backpressure) unless shedding is enabled, try_submit()
-//     probes, submit_batch() enqueues a batch in bulk. Handles are
-//     futures-free: submit returns a JobTicket, the result is claimed
-//     exactly once with wait()/poll().
+//     overtakes normal overtakes low, FIFO within a class. submit_batch()
+//     is the one admission path: it validates every spec, sheds or admits
+//     each, and enqueues the admitted jobs in bulk, blocking while the
+//     queue is full (backpressure). submit() is a one-element batch.
+//     Handles are futures-free: each job gets a JobTicket, the result is
+//     claimed exactly once with wait()/poll().
 //   * Policy (ServiceConfig::shed_on_saturation): a saturated queue sheds
 //     kNormal/kLow jobs with a structured JobStatus::kRejected result
 //     instead of blocking the submitter (kHigh keeps the blocking
@@ -114,8 +115,9 @@ enum class JobStatus {
 const char* job_status_name(JobStatus s);
 
 struct ServiceConfig {
-  /// Worker threads draining the job queue. Also the default cap on warm
-  /// sessions retained per (graph, shards) key. Must be >= 1.
+  /// Worker threads draining the job queue. Also the cap on warm sessions
+  /// retained per (graph, shards) key: more than `workers` sessions of one
+  /// key can never be in use at once. Must be >= 1.
   int workers = 4;
   /// Capacity of the bounded job queue (shared across priority lanes);
   /// submit() blocks when full unless shed_on_saturation. Must be >= 1.
@@ -125,9 +127,6 @@ struct ServiceConfig {
   /// single-sharded sessions (zero extra threads each) are the right
   /// steady-state shape.
   int default_shards = 1;
-  /// Warm sessions retained per (digest, shards) key when released; excess
-  /// sessions are destroyed. 0 = use `workers`; negative is rejected.
-  int max_idle_sessions_per_key = 0;
   /// Global cap on idle sessions across ALL keys, so a stream of distinct
   /// topologies cannot grow the pool without bound: at the cap, parking a
   /// session evicts an idle one from another key (keeping fresh keys warm).
@@ -152,7 +151,10 @@ struct ServiceConfig {
 
   /// Self-healing policy for TRANSIENT job failures (sim::transient_error
   /// subclasses -- injected faults, detected message corruption -- and
-  /// std::bad_alloc). Structural failures (precondition/invariant/bandwidth
+  /// std::bad_alloc). A retry resumes from the checkpoint captured at the
+  /// failed run's last completed phase boundary; the resumed run is
+  /// verified bit-identical to a fresh one by the checkpoint replay
+  /// machinery (see sim/runtime.hpp). Structural failures (precondition/invariant/bandwidth
   /// errors, watchdog trips, cancellation, deadlines) are never retried:
   /// they are deterministic properties of the job, so re-running cannot
   /// change the outcome.
@@ -178,11 +180,6 @@ struct ServiceConfig {
     /// (sim::watchdog_error -- not retried, the job would just hang again).
     /// 0 disables the watchdog.
     int watchdog_idle_rounds = 0;
-    /// Resume retries from the checkpoint captured at the failed run's last
-    /// completed phase boundary instead of re-running from scratch. The
-    /// resumed run is verified bit-identical to a fresh one by the
-    /// checkpoint replay machinery (see sim/runtime.hpp).
-    bool resume_from_checkpoint = true;
   };
   RetryPolicy retry;
 };
@@ -205,8 +202,7 @@ struct JobSpec {
   double deadline_ms = 0.0;
   /// Deterministic fault injection for this job's runs (chaos testing, see
   /// sim/fault.hpp). Held BY VALUE -- service jobs outlive the submitting
-  /// frame, so the Knobs::fault_plan pointer is rejected here. The plan is
-  /// installed scoped to each attempt with FaultPlan::salt set to the
+  /// frame. The plan is installed scoped to each attempt with FaultPlan::salt set to the
   /// attempt index, so retries of the same job draw fresh fault decisions.
   /// An armed plan bypasses the result cache in both directions (a faulted
   /// run is not the cache's bit-identity contract).
@@ -477,19 +473,18 @@ class ColoringService {
     return store_.intern(std::move(g));
   }
 
-  /// Enqueues the job. On a full queue: blocks (backpressure) by default;
-  /// with shed_on_saturation, kNormal/kLow jobs are instead answered
-  /// immediately with a JobStatus::kRejected result (the ticket stays
-  /// claimable as usual). Throws precondition_error after shutdown or on an
-  /// invalid spec (no graph, negative deadline).
-  JobTicket submit(JobSpec spec);
-  /// Non-blocking probe: nullopt when the queue is full (or shut down).
-  /// Bypasses the shedding policy -- the caller IS the admission control.
-  std::optional<JobTicket> try_submit(JobSpec spec);
-  /// Enqueues the whole batch in order with bulk queue insertion; blocks
-  /// for space as needed (per-job admission control applies first when
-  /// shedding is enabled). Tickets are returned in spec order.
+  /// The admission path. Validates every spec first (graph set, deadline
+  /// >= 0, dist spec) and throws precondition_error -- admitting none of
+  /// the batch -- if any is invalid or the service is shut down. Then each
+  /// job, in order, gets a ticket: with shed_on_saturation a kNormal/kLow
+  /// job that finds the queue saturated is answered at once with a
+  /// JobStatus::kRejected result (claimable as usual); the others enqueue
+  /// in bulk, blocking while the queue is full (backpressure). A job that a
+  /// concurrent shutdown() keeps out of the queue completes as kFailed.
+  /// Tickets are returned in spec order.
   std::vector<JobTicket> submit_batch(std::vector<JobSpec> specs);
+  /// A one-element submit_batch.
+  JobTicket submit(JobSpec spec);
 
   /// Blocks until the job completes and transfers its result out. Each
   /// ticket is claimed exactly once; claiming it again throws
@@ -546,8 +541,7 @@ class ColoringService {
     /// (default epoch = no wait).
     std::chrono::steady_clock::time_point not_before{};
     /// Phase-boundary checkpoint captured when the first transient failure
-    /// struck, for RetryPolicy::resume_from_checkpoint retries. Shared so
-    /// requeueing copies cheaply.
+    /// struck; retries resume from it. Shared so requeueing copies cheaply.
     std::shared_ptr<const std::vector<std::uint8_t>> resume_ckpt;
   };
 
@@ -581,13 +575,10 @@ class ColoringService {
   /// state_mutex_.
   const char* admission_reject_locked(const JobSpec& spec,
                                       std::size_t backlog) const;
-  /// Reserves an id and the queue-side bookkeeping (digest-class count,
-  /// cancel token) for an admitted job. Requires state_mutex_.
-  JobTicket admit_locked(JobSpec& spec, Job& out);
-  /// Rolls back admit_locked's bookkeeping for a job that never reached the
-  /// queue (shutdown race) or just left it (worker dequeue). Requires
-  /// state_mutex_.
-  void forget_queued_locked(const Job& job);
+  /// Drops one job of digest class `digest` from the queue occupancy the
+  /// shedding policy reads: the job just left the queue (worker dequeue) or
+  /// never reached it (shutdown race). Requires state_mutex_.
+  void forget_queued_locked(std::uint64_t digest);
   bool claimed_locked(std::uint64_t id) const;
   void mark_claimed_locked(std::uint64_t id);
   void require_known_locked(std::uint64_t id) const;

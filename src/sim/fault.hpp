@@ -115,10 +115,10 @@ class watchdog_error : public invariant_error {
   int idle_rounds;  ///< consecutive progress-free rounds observed
 };
 
-/// Seeded, deterministic fault schedule. Install on a session with
-/// Runtime::set_fault_plan / ScopedFaultPlan, or per-run via
-/// Knobs::fault_plan (direct synchronous calls) / JobSpec::fault_plan (the
-/// service, which owns salting the plan per retry attempt).
+/// Seeded, deterministic fault schedule. A direct caller installs it on the
+/// session it owns with Runtime::set_fault_plan / ScopedFaultPlan; a service
+/// job carries it by value in JobSpec::fault_plan (the service owns salting
+/// the plan per retry attempt).
 struct FaultPlan {
   std::uint64_t seed = 0;
   /// Attempt separator: mixed into every probabilistic decision. The

@@ -944,16 +944,11 @@ class ScopedCongestWords {
 /// Scoped install of a session's fault plan, restoring the previous plan on
 /// destruction (including unwinding out of an injected fault) -- so a
 /// pooled session handed to the next job can never inherit the previous
-/// job's fault schedule. A null/unarmed plan makes the guard a no-op.
+/// job's fault schedule. An unarmed plan makes the guard a no-op. This is
+/// the one way a direct caller runs a pipeline under a plan: install it on
+/// the session the caller owns, then call color_graph(rt, ...).
 class ScopedFaultPlan {
  public:
-  ScopedFaultPlan(Runtime& rt, const FaultPlan* plan)
-      : rt_(&rt), active_(plan != nullptr && plan->armed()) {
-    if (active_) {
-      previous_ = rt_->fault_plan();
-      rt_->set_fault_plan(*plan);
-    }
-  }
   ScopedFaultPlan(Runtime& rt, FaultPlan plan)
       : rt_(&rt), active_(plan.armed()) {
     if (active_) {

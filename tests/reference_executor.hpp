@@ -136,10 +136,6 @@ class ReferenceSession {
 inline dvc::LegalColoringResult reference_coloring(
     const dvc::Graph& g, int arboricity_bound, dvc::Preset preset,
     const dvc::Knobs& knobs = dvc::Knobs{}) {
-  // The runtime never offers a fault-armed phase to an executor, so such a
-  // run would silently leave the reference.
-  DVC_REQUIRE(knobs.fault_plan == nullptr,
-              "the reference executor runs fault-free pipelines only");
   ReferenceSession ref(g);
   return dvc::color_graph(ref.runtime(), arboricity_bound, preset, knobs);
 }

@@ -319,9 +319,10 @@ TEST(Fault, SaltSeparatesRetryAttempts) {
   }
 }
 
-TEST(Fault, DirectKnobsFaultPlanInstallsForTheCall) {
-  // The Knobs::fault_plan borrowed-pointer path (direct synchronous calls):
-  // an output-invisible plan (stalls only) must color bit-identically.
+TEST(Fault, DirectCallerPlanInstallsForTheCall) {
+  // The direct-call path: the caller installs the plan on the session it
+  // owns with ScopedFaultPlan. An output-invisible plan (stalls only) must
+  // color bit-identically, and the guard must restore the clean plan.
   const Graph g = planted_arboricity(200, 3, 43);
   Knobs knobs;
   knobs.shards = 1;
@@ -332,11 +333,16 @@ TEST(Fault, DirectKnobsFaultPlanInstallsForTheCall) {
   plan.seed = 47;
   plan.stall_rate = 0.05;
   plan.stall_us = 1;
-  Knobs chaos = knobs;
-  chaos.fault_plan = &plan;
-  const LegalColoringResult stalled =
-      color_graph(g, 3, Preset::NearLinearColors, chaos);
-  expect_identical(plain, stalled, "stall-only plan through Knobs");
+  sim::Runtime rt(g, 1);
+  {
+    const sim::ScopedFaultPlan guard(rt, plan);
+    EXPECT_TRUE(rt.fault_plan().armed());
+    const LegalColoringResult stalled =
+        color_graph(rt, 3, Preset::NearLinearColors, knobs);
+    expect_identical(plain, stalled, "stall-only plan on a caller session");
+    EXPECT_GT(rt.faults_injected(), 0u) << "the plan never fired";
+  }
+  EXPECT_FALSE(rt.fault_plan().armed()) << "the guard must restore the plan";
 }
 
 // ---------------------------------------------------------------------------
@@ -712,24 +718,6 @@ TEST(ServiceChaos, ArmedPlanBypassesResultCacheBothWays) {
   ASSERT_TRUE(cached.ok) << cached.error;
   EXPECT_TRUE(cached.cache_hit);
   expect_identical(fresh.result, cached.result, "cache after storm");
-}
-
-TEST(ServiceChaos, BorrowedKnobsPlanPointerIsRejectedAtSubmit) {
-  // Knobs::fault_plan is a borrowed pointer for DIRECT calls; service jobs
-  // outlive the submitting frame, so the service refuses it up front
-  // instead of dereferencing a dangling pointer later.
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  ColoringService svc(cfg);
-  const GraphRef ref = svc.intern(cycle_graph(64));
-
-  sim::FaultPlan plan;
-  plan.stall_rate = 0.5;
-  JobSpec spec;
-  spec.graph = ref;
-  spec.arboricity_bound = 2;
-  spec.knobs.fault_plan = &plan;
-  EXPECT_THROW(svc.submit(spec), precondition_error);
 }
 
 }  // namespace

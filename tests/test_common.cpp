@@ -173,6 +173,19 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(strict.get_int("neg", 0), -3);
   EXPECT_DOUBLE_EQ(strict.get_double("x", 0.0), -2.5e-3);
   EXPECT_DOUBLE_EQ(strict.get_double("neg", 0.0), -3.0);
+
+  // Anything that is not --key or --key=value throws, naming the argument:
+  // `--n 300` must not run with n = 1.
+  for (const char* stray : {"300", "-n", "--", "--=5"}) {
+    const char* spaced[] = {"prog", "--n", stray};
+    try {
+      const Cli parsed(3, const_cast<char**>(spaced));
+      ADD_FAILURE() << "'" << stray << "' parsed";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + stray + "'"),
+                std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Check, RequireThrowsPreconditionError) {

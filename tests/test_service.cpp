@@ -90,17 +90,25 @@ void expect_same_result(const LegalColoringResult& solo, const JobResult& job,
 // ---------------------------------------------------------------------------
 // BoundedQueue
 
+int lane0(int) { return 0; }
+
 TEST(BoundedQueue, FifoAndBackpressure) {
   BoundedQueue<int> q(3);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_FALSE(q.try_push(4)) << "queue at capacity must refuse";
+  std::vector<int> items = {1, 2, 3, 4};
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    EXPECT_EQ(q.push_bulk(items, lane0), 4u);
+    done = true;
+  });
+  while (q.size() < 3) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(q.size(), 3u);
+  EXPECT_FALSE(done.load()) << "a full queue must block the 4th item";
   int out = 0;
   EXPECT_TRUE(q.pop(out));
   EXPECT_EQ(out, 1);
-  EXPECT_TRUE(q.try_push(4));
+  producer.join();
+  EXPECT_TRUE(done.load());
   for (const int want : {2, 3, 4}) {
     ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out, want);
@@ -109,11 +117,14 @@ TEST(BoundedQueue, FifoAndBackpressure) {
 
 TEST(BoundedQueue, CloseDrainsThenFails) {
   BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(7));
-  EXPECT_TRUE(q.push(8));
+  std::vector<int> items = {7, 8};
+  EXPECT_EQ(q.push_bulk(items, lane0), 2u);
   q.close();
-  EXPECT_FALSE(q.push(9)) << "closed queue must refuse new items";
-  EXPECT_FALSE(q.try_push(9));
+  std::vector<int> late = {9};
+  EXPECT_EQ(q.push_bulk(late, lane0), 0u)
+      << "closed queue must refuse new items";
+  EXPECT_EQ(late, std::vector<int>{9}) << "a refused item stays with the caller";
+  EXPECT_FALSE(q.push_front(9));
   int out = 0;
   EXPECT_TRUE(q.pop(out));
   EXPECT_EQ(out, 7);
@@ -133,7 +144,7 @@ TEST(BoundedQueue, PushBulkKeepsOrderAcrossWraparound) {
     int out = 0;
     while (q.pop(out)) got.push_back(out);
   });
-  EXPECT_EQ(q.push_bulk(std::move(items)), 32u);
+  EXPECT_EQ(q.push_bulk(items, lane0), 32u);
   q.close();
   consumer.join();
   ASSERT_EQ(got.size(), 32u);
@@ -148,8 +159,11 @@ TEST(BoundedQueue, MpmcStress) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
+      // Small batches, so producers interleave on the shared capacity.
+      for (int i = 0; i < kPerProducer; i += 10) {
+        std::vector<int> batch;
+        for (int j = i; j < i + 10; ++j) batch.push_back(p * kPerProducer + j);
+        ASSERT_EQ(q.push_bulk(batch, lane0), batch.size());
       }
     });
   }
@@ -212,7 +226,6 @@ TEST(ServiceDeterminism, ConcurrentLoadMatchesSoloRunsAtEveryShardCount) {
   ServiceConfig config;
   config.workers = 8;
   config.queue_capacity = 64;
-  config.max_idle_sessions_per_key = 2;
   ColoringService svc(config);
 
   std::vector<GraphRef> refs;
@@ -281,6 +294,7 @@ TEST(Service, QueueFullBackpressure) {
   config.workers = 1;
   config.queue_capacity = 2;
   config.start_paused = true;  // workers gated: nothing drains
+  config.shed_on_saturation = true;  // answer a full queue instead of blocking
   ColoringService svc(config);
   const GraphRef g = svc.intern(planted_arboricity(200, 3, 5));
 
@@ -289,18 +303,22 @@ TEST(Service, QueueFullBackpressure) {
   spec.arboricity_bound = 3;
   spec.preset = Preset::NearLinearColors;
 
+  // The gated queue accepts exactly `queue_capacity` jobs ...
   std::vector<JobTicket> accepted;
-  // The gated queue accepts exactly `queue_capacity` jobs, then refuses.
-  std::optional<JobTicket> t;
-  while ((t = svc.try_submit(spec)).has_value()) {
-    accepted.push_back(*t);
-    ASSERT_LE(accepted.size(), config.queue_capacity) << "backpressure missing";
+  for (std::size_t i = 0; i < config.queue_capacity; ++i) {
+    accepted.push_back(svc.submit(spec));
   }
-  EXPECT_EQ(accepted.size(), config.queue_capacity);
   EXPECT_EQ(svc.queued(), config.queue_capacity);
-  EXPECT_FALSE(svc.try_submit(spec).has_value());
+  // ... and answers the next one with a claimable rejection.
+  const JobTicket refused = svc.submit(spec);
+  EXPECT_EQ(svc.queued(), config.queue_capacity);
+  const auto shed = svc.poll(refused);
+  ASSERT_TRUE(shed.has_value()) << "a shed job is answered at submission";
+  EXPECT_EQ(shed->status, JobStatus::kRejected);
+  EXPECT_FALSE(shed->error.empty());
 
   // poll() on a queued-but-unstarted job: not ready, and non-consuming.
+  EXPECT_FALSE(svc.poll(accepted[0]).has_value());
   EXPECT_FALSE(svc.poll(accepted[0]).has_value());
 
   svc.resume();
@@ -310,8 +328,78 @@ TEST(Service, QueueFullBackpressure) {
     EXPECT_TRUE(res.ok) << res.error;
   }
   // With the gate open and the queue drained, submission works again.
-  EXPECT_TRUE(svc.try_submit(spec).has_value());
+  EXPECT_TRUE(svc.wait(svc.submit(spec)).ok);
+}
+
+TEST(Service, InvalidSpecInBatchAdmitsNothing) {
+  ColoringService svc(ServiceConfig{.workers = 1});
+  const GraphRef g = svc.intern(planted_arboricity(200, 3, 7));
+  JobSpec valid;
+  valid.graph = g;
+  valid.arboricity_bound = 3;
+  JobSpec bad_deadline = valid;
+  bad_deadline.deadline_ms = -1.0;
+  JobSpec no_graph = valid;
+  no_graph.graph = GraphRef{};
+  JobSpec bad_dist = valid;
+  bad_dist.dist.workers = -1;
+  for (const JobSpec& bad : {bad_deadline, no_graph, bad_dist}) {
+    const std::uint64_t before = svc.submitted();
+    EXPECT_THROW(svc.submit_batch({valid, bad, valid}), precondition_error);
+    // Checked before drain(): a half-admitted batch would leave drain()
+    // waiting for a job that was never queued.
+    ASSERT_EQ(svc.submitted(), before) << "the batch must admit nothing";
+    ASSERT_EQ(svc.queued(), 0u);
+  }
   svc.drain();
+  EXPECT_EQ(svc.completed(), svc.submitted());
+  EXPECT_TRUE(svc.wait(svc.submit(valid)).ok) << "the service still serves";
+}
+
+TEST(Service, ShutdownFailsTheUnqueuedTailOfABlockedBatch) {
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 1;
+  config.start_paused = true;
+  ColoringService svc(config);
+  const GraphRef g = svc.intern(planted_arboricity(200, 3, 9));
+  std::vector<JobSpec> specs;
+  const std::vector<Priority> priorities = {Priority::kNormal, Priority::kLow,
+                                            Priority::kHigh};
+  const std::vector<Preset> presets = {Preset::NearLinearColors,
+                                       Preset::LinearColors,
+                                       Preset::PolylogTime};
+  for (std::size_t i = 0; i < 3; ++i) {
+    JobSpec spec;
+    spec.graph = g;
+    spec.arboricity_bound = 3;
+    spec.preset = presets[i];
+    spec.priority = priorities[i];
+    specs.push_back(std::move(spec));
+  }
+  std::vector<JobTicket> tickets;
+  // Capacity 1 and no draining worker: the batch blocks in push_bulk with
+  // one job queued and two admitted but unqueued.
+  std::thread submitter(
+      [&] { tickets = svc.submit_batch(std::move(specs)); });
+  while (svc.submitted() < 3 || svc.queued() < 1) std::this_thread::yield();
+  svc.shutdown();
+  submitter.join();
+  ASSERT_EQ(tickets.size(), 3u);
+
+  const JobResult queued = svc.wait(tickets[0]);
+  EXPECT_TRUE(queued.ok) << "the queued job runs before shutdown returns: "
+                         << queued.error;
+  for (std::size_t i = 1; i < 3; ++i) {
+    const JobResult res = svc.wait(tickets[i]);
+    EXPECT_EQ(res.status, JobStatus::kFailed) << i;
+    EXPECT_FALSE(res.error.empty()) << i;
+    EXPECT_EQ(res.graph_digest, g.digest) << i;
+    EXPECT_EQ(res.preset, presets[i]) << i;
+    EXPECT_EQ(res.priority, priorities[i]) << i;
+  }
+  EXPECT_EQ(svc.completed(), 3u);
+  EXPECT_EQ(svc.metrics().queue_depth, 0u);
 }
 
 TEST(Service, DrainUnderLoad) {
@@ -445,7 +533,6 @@ TEST(Service, ShutdownIsGracefulAndIdempotent) {
   late.graph = g;
   late.arboricity_bound = 4;
   EXPECT_THROW(svc.submit(late), precondition_error);
-  EXPECT_THROW(svc.try_submit(late), precondition_error);
   EXPECT_THROW(svc.submit_batch({late}), precondition_error);
 }
 
@@ -475,7 +562,6 @@ TEST(Service, DoubleClaimThrowsInsteadOfDeadlocking) {
 TEST(Service, GlobalIdleSessionCapBoundsThePool) {
   ServiceConfig config;
   config.workers = 2;
-  config.max_idle_sessions_per_key = 2;
   config.max_idle_sessions_total = 2;  // tighter than keys x per-key
   ColoringService svc(config);
   // Distinct topologies x shard counts: far more session keys than the cap.
@@ -505,14 +591,11 @@ TEST(Service, GlobalIdleSessionCapBoundsThePool) {
 
 TEST(BoundedQueue, LanesServeHighestPriorityFirst) {
   BoundedQueue<int, 3> q(8);
-  // Interleave pushes across lanes; pop must serve lane 0, then 1, then 2,
-  // FIFO within each lane, regardless of arrival order.
-  EXPECT_TRUE(q.push(20, 2));
-  EXPECT_TRUE(q.push(10, 1));
-  EXPECT_TRUE(q.push(0, 0));
-  EXPECT_TRUE(q.push(21, 2));
-  EXPECT_TRUE(q.push(1, 0));
-  EXPECT_TRUE(q.push(11, 1));
+  // Interleave items across lanes (lane = tens digit); pop must serve lane
+  // 0, then 1, then 2, FIFO within each lane, regardless of arrival order.
+  const auto tens = [](const int v) { return v / 10; };
+  std::vector<int> items = {20, 10, 0, 21, 1, 11};
+  EXPECT_EQ(q.push_bulk(items, tens), 6u);
   const auto sizes = q.lane_sizes();
   EXPECT_EQ(sizes[0], 2u);
   EXPECT_EQ(sizes[1], 2u);
@@ -522,16 +605,18 @@ TEST(BoundedQueue, LanesServeHighestPriorityFirst) {
     ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out, want);
   }
-  EXPECT_THROW(q.push(5, 3), precondition_error) << "lane out of range";
-  EXPECT_THROW(q.push(5, -1), precondition_error);
+  std::vector<int> bad = {5};
+  EXPECT_THROW(q.push_bulk(bad, [](int) { return 3; }), precondition_error)
+      << "lane out of range";
+  EXPECT_THROW(q.push_bulk(bad, [](int) { return -1; }), precondition_error);
+  EXPECT_THROW(q.push_front(5, 3), precondition_error);
 }
 
 TEST(BoundedQueue, PushBulkRoutesLanesByItem) {
   BoundedQueue<int, 2> q(16);
   std::vector<int> items = {1, 100, 2, 101, 3};
   // Odd hundreds go to the low lane, the rest ride lane 0.
-  EXPECT_EQ(q.push_bulk(std::move(items),
-                        [](const int v) { return v >= 100 ? 1 : 0; }),
+  EXPECT_EQ(q.push_bulk(items, [](const int v) { return v >= 100 ? 1 : 0; }),
             5u);
   int out = 0;
   for (const int want : {1, 2, 3, 100, 101}) {
@@ -549,16 +634,13 @@ TEST(Service, ConfigValidationRejectsNonsense) {
                precondition_error);
   EXPECT_THROW(ColoringService(ServiceConfig{.default_shards = 0}),
                precondition_error);
-  EXPECT_THROW(ColoringService(ServiceConfig{.max_idle_sessions_per_key = -1}),
+  EXPECT_THROW(ColoringService(ServiceConfig{.max_idle_sessions_total = -7}),
                precondition_error)
       << "a negative cap is a caller bug, not a request for the default";
-  EXPECT_THROW(ColoringService(ServiceConfig{.max_idle_sessions_total = -7}),
-               precondition_error);
   EXPECT_THROW(ColoringService(ServiceConfig{.result_cache_capacity = -1}),
                precondition_error);
-  // Zero caps still mean "use the default", derived from workers.
+  // A zero cap still means "use the default", derived from workers.
   ColoringService svc(ServiceConfig{.workers = 3});
-  EXPECT_EQ(svc.config().max_idle_sessions_per_key, 3);
   EXPECT_EQ(svc.config().max_idle_sessions_total, 12);
 }
 
