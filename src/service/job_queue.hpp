@@ -150,11 +150,6 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
  private:
   static void check_lane(int lane) {
     DVC_REQUIRE(lane >= 0 && lane < Lanes, "queue lane out of range");
