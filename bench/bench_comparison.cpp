@@ -119,10 +119,8 @@ int main() {
       const CompleteOrientationResult ori = complete_orientation(rt, a);
       const ReduceResult greedy =
           greedy_by_orientation(rt, ori.sigma, ori.hp.threshold + 1);
-      sim::RunStats total = ori.total;
-      total += greedy.stats;
       record("be08 (2+eps)a+1 colors", "yes", distinct_colors(greedy.colors),
-             total, ms_since(t0));
+             rt.log().total(), ms_since(t0));
     }
     {
       const auto t0 = Clock::now();

@@ -181,10 +181,7 @@ bool run_config(benchio::JsonSink& sink, const Graph& g, int bound,
   return ok;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  dvc::Cli cli(argc, argv);
+int run(const dvc::Cli& cli) {
   const bool smoke = cli.has("smoke");
   const auto n = static_cast<dvc::V>(cli.get_int("n", smoke ? 600 : 20000));
   const int bound = static_cast<int>(cli.get_int("arboricity", 3));
@@ -213,3 +210,7 @@ int main(int argc, char** argv) {
             << (ok ? "OK" : "FAILED") << "; records written to BENCH_dist.json\n";
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

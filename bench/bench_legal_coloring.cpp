@@ -27,8 +27,7 @@ dvc::LegalColoringResult be08_coloring(const dvc::Graph& g, int a) {
   const ReduceResult greedy = greedy_by_orientation(rt, ori.sigma, palette);
   out.colors = greedy.colors;
   out.distinct = distinct_colors(out.colors);
-  out.total += ori.total;
-  out.total += greedy.stats;
+  out.total = rt.log().total();
   return out;
 }
 

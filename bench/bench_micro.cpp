@@ -117,25 +117,25 @@ void bench_phase_boundary(benchio::JsonSink& sink) {
     // re-allocating all arenas and re-spawning shards-1 worker threads.
     sim::RunStats fresh_stats;
     const double fresh_ms = benchio::min_ms_over(kReps, [&] {
-      sim::RunStats total;
+      sim::PhaseLog log;
       for (int phase = 0; phase < kPhases; ++phase) {
         sim::Runtime rt(g, cfg.shards);
         FloodPhase prog(cfg.rounds);
-        total += rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack);
+        log.record(prog.name(),
+                   rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack));
       }
-      fresh_stats = total;
+      fresh_stats = log.total();
     });
 
     // One session: arenas and the parked pool persist across all phases.
     sim::RunStats runtime_stats;
     const double runtime_ms = benchio::min_ms_over(kReps, [&] {
       sim::Runtime rt(g, cfg.shards);
-      sim::RunStats total;
       for (int phase = 0; phase < kPhases; ++phase) {
         FloodPhase prog(cfg.rounds);
-        total += rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack);
+        rt.run_phase(prog, cfg.rounds + sim::kRoundCapSlack);
       }
-      runtime_stats = total;
+      runtime_stats = rt.log().total();
     });
 
     const double speedup = fresh_ms / runtime_ms;

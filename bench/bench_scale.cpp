@@ -174,10 +174,7 @@ bool run_config(benchio::JsonSink& sink, const std::string& family, int scale,
   return ok;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+int run(const dvc::Cli& cli) {
   const bool smoke = cli.has("smoke");
   const int scale = static_cast<int>(cli.get_int("scale", smoke ? 16 : 20));
   const int edgefactor =
@@ -206,3 +203,7 @@ int main(int argc, char** argv) {
   std::cout << (ok ? "\nscale bench OK\n" : "\nscale bench FAILED\n");
   return ok ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

@@ -483,11 +483,8 @@ int run_chaos(dvc::V n, std::uint64_t seed, benchio::JsonSink& sink) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
   const V n = static_cast<V>(cli.get_int("n", 8192));
   const int jobs = static_cast<int>(cli.get_int("jobs", 48));
   const int pool = static_cast<int>(cli.get_int("pool", 8));
@@ -640,3 +637,7 @@ int main(int argc, char** argv) {
   // depends on host parallelism), the JSON record is the tracked artifact.
   return (identical && chaos_rc == 0) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

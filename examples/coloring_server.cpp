@@ -15,9 +15,10 @@
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
   const V n = static_cast<V>(cli.get_int("n", 20000));
   const int jobs = static_cast<int>(cli.get_int("jobs", 60));
   const int workers = static_cast<int>(cli.get_int("workers", 4));
@@ -174,3 +175,7 @@ int main(int argc, char** argv) {
              ? 0
              : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

@@ -8,7 +8,7 @@
 //
 // With no --input, a demo instance is generated and colored. Exits 0 on a
 // legal coloring, 1 after printing legal=NO (or on an unreadable input),
-// and 2 on an unknown --preset.
+// and 2 on an unknown --preset or a malformed flag.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -20,9 +20,10 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
 
   const std::pair<const char*, Preset> presets[] = {
       {"near-linear", Preset::NearLinearColors},
@@ -83,3 +84,7 @@ int main(int argc, char** argv) {
   }
   return legal ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

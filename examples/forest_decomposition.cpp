@@ -12,9 +12,10 @@
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
   const V n = static_cast<V>(cli.get_int("n", 10000));
   const int a = static_cast<int>(cli.get_int("a", 6));
   const int t = static_cast<int>(cli.get_int("t", 3));
@@ -66,3 +67,7 @@ int main(int argc, char** argv) {
                "vertex.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

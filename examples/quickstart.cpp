@@ -16,9 +16,10 @@
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
   const V n = static_cast<V>(cli.get_int("n", 20000));
   const int a = static_cast<int>(cli.get_int("a", 8));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -52,3 +53,7 @@ int main(int argc, char** argv) {
   phases.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

@@ -18,9 +18,10 @@
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const dvc::Cli& cli) {
   using namespace dvc;
-  const Cli cli(argc, argv);
   const V n = static_cast<V>(cli.get_int("n", 5000));
   const double radius = cli.get_double("radius", 0.02);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
@@ -69,3 +70,7 @@ int main(int argc, char** argv) {
                                : "\nERROR: schedule has conflicts!\n");
   return conflicts == 0 ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dvc::run_cli(argc, argv, run); }

@@ -2,11 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
-
-#include "common/check.hpp"
 
 namespace dvc {
 
@@ -15,9 +14,10 @@ Cli::Cli(int argc, char** argv) {
     std::string_view arg(argv[i]);
     // A stray word (`--n 300` spells the value as its own argument) would
     // otherwise be dropped and leave the flag reading as "1".
-    DVC_REQUIRE(arg.size() > 2 && arg.substr(0, 2) == "--" && arg[2] != '=',
-                "unexpected argument '" + std::string(arg) +
-                    "': flags are --key or --key=value");
+    if (arg.size() <= 2 || arg.substr(0, 2) != "--" || arg[2] == '=') {
+      throw flag_error("unexpected argument '" + std::string(arg) +
+                       "': flags are --key or --key=value");
+    }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     const std::string_view value =
@@ -28,9 +28,9 @@ Cli::Cli(int argc, char** argv) {
 
 namespace {
 
-/// Parses the whole of `text` as a T, or throws precondition_error naming
-/// the flag: trailing characters, an empty value and an out-of-range or
-/// non-finite number are all rejected.
+/// Parses the whole of `text` as a T, or throws flag_error naming the flag:
+/// trailing characters, an empty value and an out-of-range or non-finite
+/// number are all rejected.
 template <typename T>
 T parse_number(const std::string& key, const std::string& text, const char* kind) {
   T value{};
@@ -38,7 +38,9 @@ T parse_number(const std::string& key, const std::string& text, const char* kind
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   bool ok = ec == std::errc{} && ptr == end;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  DVC_REQUIRE(ok, "--" + key + " expects " + kind + ", got '" + text + "'");
+  if (!ok) {
+    throw flag_error("--" + key + " expects " + kind + ", got '" + text + "'");
+  }
   return value;
 }
 
@@ -62,5 +64,15 @@ std::string Cli::get_string(const std::string& key, const std::string& fallback)
 }
 
 bool Cli::has(const std::string& key) const { return values_.count(key) > 0; }
+
+int run_cli(int argc, char** argv, int (*body)(const Cli&)) {
+  try {
+    const Cli cli(argc, argv);
+    return body(cli);
+  } catch (const flag_error& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 2;
+  }
+}
 
 }  // namespace dvc

@@ -14,19 +14,19 @@ ArbKuhnResult arb_kuhn_arbdefective(sim::Runtime& rt, int arboricity_bound,
   DVC_REQUIRE(arboricity_bound >= 1 && arbdefect_budget >= 0,
               "bad Arb-Kuhn parameters");
   const sim::PhaseSpan span(rt, "arb-kuhn-decomposition");
+  const std::size_t mark = rt.log().size();
   ArbKuhnResult out{Coloring{},
                     0,
                     arbdefect_budget,
                     orient_by_ids(rt, arboricity_bound, eps, groups),
                     {},
                     sim::RunStats{}};
-  out.total += out.orientation.total;
   // Iterated Procedure Arb-Recolor: out-degree is bounded by the H-partition
   // threshold A = floor((2+eps)a).
   DefectiveResult recolor = arb_recolor_iterated(
       rt, out.orientation.sigma, out.orientation.hp.threshold, arbdefect_budget,
       groups);
-  out.total += recolor.stats;
+  out.total = rt.log().total(mark);
   out.colors = std::move(recolor.colors);
   out.palette = recolor.palette;
   out.schedule = std::move(recolor.schedule);
@@ -49,9 +49,8 @@ LegalColoringResult fast_subquadratic_coloring(sim::Runtime& rt, int arboricity_
   LegalColoringResult out =
       legal_coloring(rt, class_arboricity, p, eps, &decomp.colors,
                      /*initial_alpha=*/class_arboricity);
-  // Execution order: the decomposition ran before the inner Legal-Coloring.
-  out.total.prepend(std::move(decomp.total));
   out.phases = rt.log().slice(log_mark);
+  out.total = out.phases.total();
   return out;
 }
 
@@ -65,8 +64,8 @@ LegalColoringResult tradeoff_coloring(sim::Runtime& rt, int arboricity_bound, in
       4, static_cast<int>(std::ceil(std::pow(static_cast<double>(d), mu / 2.0))));
   LegalColoringResult out = legal_coloring(rt, d, p, eps, &decomp.colors,
                                            /*initial_alpha=*/d);
-  out.total.prepend(std::move(decomp.total));
   out.phases = rt.log().slice(log_mark);
+  out.total = out.phases.total();
   return out;
 }
 

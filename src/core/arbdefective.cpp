@@ -9,16 +9,16 @@ ArbdefectiveColoringResult arbdefective_coloring(
     const std::vector<std::int64_t>* groups) {
   DVC_REQUIRE(arboricity_bound >= 1 && t >= 1 && k >= 1,
               "bad arbdefective-coloring parameters");
+  const std::size_t mark = rt.log().size();
   ArbdefectiveColoringResult out{
       Coloring{},
       k,
       0,
       partial_orientation(rt, arboricity_bound, t, eps, groups),
       sim::RunStats{}};
-  out.total += out.orientation.total;
   SimpleArbResult arb =
       simple_arbdefective(rt, out.orientation.sigma, k, groups);
-  out.total += arb.stats;
+  out.total = rt.log().total(mark);
   out.colors = std::move(arb.colors);
   // Theorem 3.2: tau + floor(m/k) with tau = floor(a/t) and
   // m = floor((2+eps)a) (the H-partition threshold).

@@ -68,7 +68,6 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
                                         ",alpha=" + std::to_string(alpha) + ")");
       return arbdefective_coloring(rt, alpha, /*t=*/p, /*k=*/p, eps, &groups);
     }();
-    out.total += phase.total;
     ++out.iterations;
     for (V v = 0; v < g.num_vertices(); ++v) {
       groups[static_cast<std::size_t>(v)] =
@@ -94,7 +93,6 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
   const sim::PhaseSpan final_span(rt, "final-coloring");
 
   HPartitionResult hp = h_partition(rt, alpha, eps, &groups);
-  out.total += hp.stats;
 
   std::vector<std::int64_t> layer_labels(static_cast<std::size_t>(g.num_vertices()));
   for (V v = 0; v < g.num_vertices(); ++v) {
@@ -103,7 +101,6 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
         hp.level[static_cast<std::size_t>(v)];
   }
   ReduceResult layers = legal_small_degree(rt, hp.threshold, &layer_labels);
-  out.total += layers.stats;
 
   // Complete orientation within groups by (layer, layer-color), then greedy.
   Orientation sigma(g);
@@ -177,14 +174,10 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
       const Coloring* psi_;
     };
     OrientProgram program(g, sigma, groups, hp.level, layers.colors);
-    const sim::RunStats& st =
-        rt.run_phase(program, sim::kOneExchangeRoundCap, "final-orient");
-    out.total += st;
+    rt.run_phase(program, sim::kOneExchangeRoundCap, "final-orient");
   }
 
-  ReduceResult gr = greedy_by_orientation(rt, sigma, A, &groups);
-  out.total += gr.stats;
-  return gr;
+  return greedy_by_orientation(rt, sigma, A, &groups);
   }();
 
   // Final color: (subgraph index) * A + greedy color; disjoint palettes make
@@ -200,6 +193,7 @@ LegalColoringResult legal_coloring(sim::Runtime& rt, int arboricity_bound, int p
   out.palette_formula =
       saturating_mul(formula_groups, static_cast<std::uint64_t>(A));
   out.phases = rt.log().slice(log_mark);
+  out.total = out.phases.total();
   return out;
 }
 
@@ -240,11 +234,11 @@ LegalColoringResult delta_plus_one_low_arb(sim::Runtime& rt, int arboricity_boun
     const sim::PhaseSpan span(rt, "kw-fallback-to-delta-plus-one");
     ReduceResult reduced =
         kw_reduce(rt, out.colors, out.distinct, g.max_degree());
-    out.total += reduced.stats;
     out.colors = std::move(reduced.colors);
   }
   out.distinct = distinct_colors(out.colors);
   out.phases = rt.log().slice(log_mark);
+  out.total = out.phases.total();
   return out;
 }
 

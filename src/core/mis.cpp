@@ -75,9 +75,9 @@ MisResult deterministic_mis(sim::Runtime& rt, int arboricity_bound, double mu,
   LegalColoringResult coloring =
       legal_coloring_linear(rt, arboricity_bound, mu, eps);
   MisResult out = mis_from_coloring(rt, coloring.colors, coloring.distinct);
-  out.total.prepend(std::move(coloring.total));
   out.algorithm = "barenboim-elkin(coloring)+sweep";
   out.phases = rt.log().slice(log_mark);
+  out.total = out.phases.total();
   return out;
 }
 

@@ -66,14 +66,15 @@ ForestsDecomposition forests_decomposition(sim::Runtime& rt, int arboricity_boun
                                            const std::vector<std::int64_t>* groups) {
   const Graph& g = rt.graph();
   const sim::PhaseSpan span(rt, "forests-decomposition");
+  const std::size_t mark = rt.log().size();
   ForestsDecomposition out{
       std::vector<int>(static_cast<std::size_t>(g.num_slots()), -1),
       0,
       orient_by_ids(rt, arboricity_bound, eps, groups),
       sim::RunStats{}};
-  out.total += out.orientation.total;
   ForestLabelProgram program(g, out.orientation.sigma, out.forest_of_slot);
-  out.total += rt.run_phase(program, sim::kOneExchangeRoundCap, "forest-labels");
+  rt.run_phase(program, sim::kOneExchangeRoundCap, "forest-labels");
+  out.total = rt.log().total(mark);
   for (const int f : out.forest_of_slot) {
     out.num_forests = std::max(out.num_forests, f + 1);
   }

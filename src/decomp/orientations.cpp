@@ -89,12 +89,12 @@ class OrientExchangeProgram : public sim::VertexProgram {
   const std::vector<std::int64_t>* key2_;
 };
 
-sim::RunStats run_orient_exchange(sim::Runtime& rt, Orientation& sigma,
-                                  const std::vector<std::int64_t>* groups,
-                                  const std::vector<std::int64_t>& key1,
-                                  const std::vector<std::int64_t>& key2) {
+void run_orient_exchange(sim::Runtime& rt, Orientation& sigma,
+                         const std::vector<std::int64_t>* groups,
+                         const std::vector<std::int64_t>& key1,
+                         const std::vector<std::int64_t>& key2) {
   OrientExchangeProgram program(rt.graph(), sigma, groups, key1, key2);
-  return rt.run_phase(program, sim::kOneExchangeRoundCap, "orient-exchange");
+  rt.run_phase(program, sim::kOneExchangeRoundCap, "orient-exchange");
 }
 
 std::vector<std::int64_t> to_i64(const std::vector<int>& v) {
@@ -121,13 +121,14 @@ OrientationResult orient_by_ids(sim::Runtime& rt, int arboricity_bound, double e
                                 const std::vector<std::int64_t>* groups) {
   const Graph& g = rt.graph();
   const sim::PhaseSpan span(rt, "orient-by-ids");
+  const std::size_t mark = rt.log().size();
   OrientationResult out{Orientation(g), h_partition(rt, arboricity_bound, eps, groups),
                         sim::RunStats{}};
-  out.total += out.hp.stats;
   std::vector<std::int64_t> key1 = to_i64(out.hp.level);
   std::vector<std::int64_t> key2(static_cast<std::size_t>(g.num_vertices()));
   for (V v = 0; v < g.num_vertices(); ++v) key2[static_cast<std::size_t>(v)] = v + 1;
-  out.total += run_orient_exchange(rt, out.sigma, groups, key1, key2);
+  run_orient_exchange(rt, out.sigma, groups, key1, key2);
+  out.total = rt.log().total(mark);
   return out;
 }
 
@@ -136,6 +137,7 @@ CompleteOrientationResult complete_orientation(
     const std::vector<std::int64_t>* groups) {
   const Graph& g = rt.graph();
   const sim::PhaseSpan span(rt, "complete-orientation");
+  const std::size_t mark = rt.log().size();
   HPartitionResult hp = h_partition(rt, arboricity_bound, eps, groups);
   const std::vector<std::int64_t> layer_labels = group_level_labels(g, groups, hp);
   // Legal O(a)-coloring of every layer in parallel; degree within a layer is
@@ -144,11 +146,9 @@ CompleteOrientationResult complete_orientation(
 
   CompleteOrientationResult out{Orientation(g), std::move(hp), std::move(layers),
                                 sim::RunStats{}};
-  out.total += out.hp.stats;
-  out.total += out.layer_coloring.stats;
   const std::vector<std::int64_t> key1 = to_i64(out.hp.level);
-  out.total +=
-      run_orient_exchange(rt, out.sigma, groups, key1, out.layer_coloring.colors);
+  run_orient_exchange(rt, out.sigma, groups, key1, out.layer_coloring.colors);
+  out.total = rt.log().total(mark);
   return out;
 }
 
@@ -158,6 +158,7 @@ PartialOrientationResult partial_orientation(
   DVC_REQUIRE(t >= 1, "t must be >= 1");
   const Graph& g = rt.graph();
   const sim::PhaseSpan span(rt, "partial-orientation");
+  const std::size_t mark = rt.log().size();
   HPartitionResult hp = h_partition(rt, arboricity_bound, eps, groups);
   const std::vector<std::int64_t> layer_labels = group_level_labels(g, groups, hp);
   // floor(a/t)-defective O(t^2)-coloring of every layer in parallel
@@ -167,11 +168,9 @@ PartialOrientationResult partial_orientation(
 
   PartialOrientationResult out{Orientation(g), std::move(hp), std::move(layers),
                                defect, sim::RunStats{}};
-  out.total += out.hp.stats;
-  out.total += out.layer_coloring.stats;
   const std::vector<std::int64_t> key1 = to_i64(out.hp.level);
-  out.total +=
-      run_orient_exchange(rt, out.sigma, groups, key1, out.layer_coloring.colors);
+  run_orient_exchange(rt, out.sigma, groups, key1, out.layer_coloring.colors);
+  out.total = rt.log().total(mark);
   return out;
 }
 

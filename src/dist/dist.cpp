@@ -205,11 +205,12 @@ struct WorkerCore {
   int corrupt_countdown = -1;
   /// Reply frames, kept across sweeps (cleared, not freed) so a sweep's
   /// encoding allocates nothing once the buffers have grown: one kMsgs
-  /// frame per destination worker, with its entry count, and the kStats
-  /// frame.
+  /// frame per destination worker, with its entry count, the kStats frame
+  /// and the kState frame.
   std::vector<ByteWriter> msgs_out;
   std::vector<std::uint32_t> msgs_count;
   ByteWriter stats_out;
+  ByteWriter state_out;
 
   int dest_worker_of(std::int64_t slot) const {
     const auto it = std::upper_bound(worker_slot_lo.begin() + 1,
@@ -217,11 +218,34 @@ struct WorkerCore {
     return static_cast<int>(it - worker_slot_lo.begin()) - 1;
   }
 
-  /// True when the armed kill fires at this sweep (the caller decides what
-  /// death looks like: SIGKILL for fork, a dead channel for loopback).
-  bool kill_fires() {
-    if (kill_countdown < 0) return false;
-    return kill_countdown-- == 0;
+  /// Decodes one coordinator frame and runs its handler, handing each
+  /// reply frame to `emit` in order (the frames live in this core's reply
+  /// buffers until the next frame). Returns false, having run nothing, when
+  /// the armed kill fires at this sweep: the caller decides what death
+  /// looks like (SIGKILL for fork, a dead channel for loopback). Throws on
+  /// a malformed or unexpected frame or a shard error; the caller encodes
+  /// it as a kError frame.
+  template <class Emit>
+  bool serve(std::span<const std::uint8_t> frame, Emit&& emit) {
+    const wire::FrameHeader h = wire::decode_frame_header(frame);
+    const auto payload = wire::frame_payload(frame);
+    switch (static_cast<FrameType>(h.type)) {
+      case FrameType::kSweep:
+        if (kill_countdown >= 0 && kill_countdown-- == 0) return false;
+        handle_sweep(h, payload, emit);
+        return true;
+      case FrameType::kMsgs:
+        apply_msgs(payload);
+        return true;
+      case FrameType::kFinish:
+        handle_finish(h, emit);
+        return true;
+      default:
+        throw corruption_error(
+            "worker received an unexpected frame type " +
+                std::to_string(static_cast<int>(h.type)),
+            "", h.phase, h.round, 0, 0);
+    }
   }
 
   /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
@@ -264,12 +288,10 @@ struct WorkerCore {
 
   /// Runs one sweep over the worker's shards and hands the response frames
   /// to `emit` in order: zero or more kMsgs (one per destination worker that
-  /// received cross-worker messages) followed by exactly one kStats. The
-  /// frames live in this core's reply buffers until the next sweep. Throws
-  /// on a shard error; the caller encodes it as a kError frame.
+  /// received cross-worker messages) followed by exactly one kStats.
   template <class Emit>
   void handle_sweep(const wire::FrameHeader& h,
-                    std::span<const std::uint8_t> payload, Emit&& emit) {
+                    std::span<const std::uint8_t> payload, Emit& emit) {
     ByteReader r{payload, 0, "sweep frame"};
     const bool is_begin = r.u8() != 0;
     if (owns_runtime_state && !is_begin) {
@@ -369,15 +391,16 @@ struct WorkerCore {
 
   /// kFinish -> kState: every owned vertex's program state, in ascending
   /// vertex order, via the program's save hook.
-  std::vector<std::uint8_t> handle_finish(const wire::FrameHeader& h) {
-    ByteWriter w;
+  template <class Emit>
+  void handle_finish(const wire::FrameHeader& h, Emit& emit) {
+    ByteWriter& w = state_out;
     wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kState),
                       h.phase, h.round);
     for (V v = slice.vtx_lo; v < slice.vtx_hi; ++v) {
       program->save_vertex_state(v, w);
     }
     wire::end_frame(w);
-    return std::move(w.buf);
+    emit(std::span<const std::uint8_t>(w.buf));
   }
 };
 
@@ -398,31 +421,12 @@ struct WorkerCore {
       _exit(1);
     }
     try {
-      const wire::FrameHeader h = wire::decode_frame_header(frame);
-      const auto payload = wire::frame_payload(frame);
-      switch (static_cast<FrameType>(h.type)) {
-        case FrameType::kSweep: {
-          if (core.kill_fires()) {
-            // The scheduled mid-round death: no goodbye frame, no teardown
-            // -- exactly what kill -9 on a real worker box looks like.
-            ::raise(SIGKILL);
-          }
-          core.handle_sweep(h, payload, [&](std::span<const std::uint8_t> f) {
+      if (!core.serve(frame, [&](std::span<const std::uint8_t> f) {
             link.send(f);
-          });
-          break;
-        }
-        case FrameType::kMsgs:
-          core.apply_msgs(payload);
-          break;
-        case FrameType::kFinish:
-          link.send(core.handle_finish(h));
-          break;
-        default:
-          throw corruption_error(
-              "worker received an unexpected frame type " +
-                  std::to_string(static_cast<int>(h.type)),
-              "", h.phase, h.round, 0, 0);
+          })) {
+        // The scheduled mid-round death: no goodbye frame, no teardown --
+        // exactly what kill -9 on a real worker box looks like.
+        ::raise(SIGKILL);
       }
     } catch (const worker_lost_error&) {
       _exit(0);  // coordinator vanished mid-reply
@@ -448,33 +452,13 @@ class LoopbackTransport final : public Transport {
   void send(std::span<const std::uint8_t> frame) override {
     if (dead_) lost("send to a dead loopback worker");
     try {
-      const wire::FrameHeader h = wire::decode_frame_header(frame);
-      const auto payload = wire::frame_payload(frame);
-      switch (static_cast<FrameType>(h.type)) {
-        case FrameType::kSweep: {
-          if (core_.kill_fires()) {
-            // Simulated kill -9: the worker stops responding; queued
-            // replies die with it.
-            dead_ = true;
-            outbox_.clear();
-            return;
-          }
-          core_.handle_sweep(h, payload, [&](std::span<const std::uint8_t> f) {
+      if (!core_.serve(frame, [&](std::span<const std::uint8_t> f) {
             outbox_.emplace_back(f.begin(), f.end());
-          });
-          break;
-        }
-        case FrameType::kMsgs:
-          core_.apply_msgs(payload);
-          break;
-        case FrameType::kFinish:
-          outbox_.push_back(core_.handle_finish(h));
-          break;
-        default:
-          throw corruption_error(
-              "worker received an unexpected frame type " +
-                  std::to_string(static_cast<int>(h.type)),
-              "", h.phase, h.round, 0, 0);
+          })) {
+        // Simulated kill -9: the worker stops responding; queued replies
+        // die with it.
+        dead_ = true;
+        outbox_.clear();
       }
     } catch (...) {
       outbox_.push_back(encode_error_frame());

@@ -85,28 +85,7 @@ struct ProgramScope {
 // PhaseLog
 
 RunStats PhaseLog::stats(std::size_t i) const {
-  const Entry& e = entries_[i];
-  RunStats out;
-  out.rounds = e.rounds;
-  out.messages = e.messages;
-  out.words = e.words;
-  out.work_items = e.work_items;
-  out.max_msg_words = e.max_msg_words;
-  if (!e.span) {
-    const auto a = active(e);
-    out.active_per_round.assign(a.begin(), a.end());
-    const auto b = bandwidth(e);
-    out.words_per_round.assign(b.begin(), b.end());
-    return out;
-  }
-  for (std::size_t j = i + 1, end = subtree_end(i); j < end; ++j) {
-    if (entries_[j].span) continue;
-    const auto a = active(entries_[j]);
-    out.active_per_round.insert(out.active_per_round.end(), a.begin(), a.end());
-    const auto b = bandwidth(entries_[j]);
-    out.words_per_round.insert(out.words_per_round.end(), b.begin(), b.end());
-  }
-  return out;
+  return compose(i, subtree_end(i));
 }
 
 std::size_t PhaseLog::subtree_end(std::size_t i) const {
@@ -125,11 +104,17 @@ std::int32_t PhaseLog::peak_active(std::size_t i) const {
   return peak;
 }
 
-RunStats PhaseLog::total() const {
+RunStats PhaseLog::total(std::size_t first) const {
+  return compose(first, entries_.size());
+}
+
+RunStats PhaseLog::compose(std::size_t first, std::size_t end) const {
   RunStats out;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
+  if (first >= end) return out;
+  const std::int32_t base = entries_[first].depth;
+  for (std::size_t i = first; i < end; ++i) {
     const Entry& e = entries_[i];
-    if (e.depth == 0) {
+    if (e.depth == base) {
       out.rounds += e.rounds;
       out.messages += e.messages;
       out.words += e.words;

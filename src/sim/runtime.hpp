@@ -143,8 +143,8 @@ struct RunStats {
   /// phase ran within the CONGEST model iff this is <= the word budget.
   std::uint32_t max_msg_words = 0;
   /// Number of non-halted vertices at the start of each round. Sequential
-  /// phase composition (operator+=) concatenates, so a composed driver's
-  /// profile covers its whole pipeline. Used to validate the paper's
+  /// phase composition (PhaseLog::total) concatenates, so a composed
+  /// driver's profile covers its whole pipeline. Used to validate the paper's
   /// Section 1.4 parallelism claim ("all vertices are active at (almost)
   /// all times").
   std::vector<std::int32_t> active_per_round;
@@ -159,30 +159,6 @@ struct RunStats {
   /// attestations all compare through this one operator, so a new field
   /// can never be silently left out of an identity check.
   friend bool operator==(const RunStats&, const RunStats&) = default;
-
-  RunStats& operator+=(const RunStats& other) {
-    rounds += other.rounds;
-    messages += other.messages;
-    words += other.words;
-    work_items += other.work_items;
-    max_msg_words = std::max(max_msg_words, other.max_msg_words);
-    active_per_round.insert(active_per_round.end(),
-                            other.active_per_round.begin(),
-                            other.active_per_round.end());
-    words_per_round.insert(words_per_round.end(),
-                           other.words_per_round.begin(),
-                           other.words_per_round.end());
-    return *this;
-  }
-
-  /// Sequential composition with `earlier` having run first: used by
-  /// composed drivers that obtain a sub-procedure's stats before their own,
-  /// keeping active_per_round a faithful execution timeline.
-  RunStats& prepend(RunStats earlier) {
-    earlier += *this;
-    *this = std::move(earlier);
-    return *this;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -283,9 +259,10 @@ class PhaseLog {
                                           e.bw_len);
   }
 
-  /// Materializes entry i as a RunStats. For spans, counters are the
-  /// recorded aggregate and active_per_round concatenates the subtree's
-  /// leaves in execution order.
+  /// Materializes entry i as a RunStats: the composition of its subtree
+  /// [i, subtree_end(i)). For spans, counters are the recorded aggregate and
+  /// the per-round series concatenate the subtree's leaves in execution
+  /// order.
   RunStats stats(std::size_t i) const;
 
   /// Index one past the end of entry i's subtree (i + 1 for leaves).
@@ -297,9 +274,16 @@ class PhaseLog {
   /// from bench artifacts alone.
   std::int32_t peak_active(std::size_t i) const;
 
-  /// Sequential composition of all top-level (depth 0) entries: equals the
-  /// sum of every leaf, since spans aggregate their subtrees.
-  RunStats total() const;
+  /// Sequential composition of entries [first, size()) at their base depth
+  /// (entries[first].depth, the rule slice() uses): counters sum over the
+  /// base-depth entries -- spans aggregate their subtrees -- and the
+  /// per-round series concatenate every leaf in execution order. Empty for
+  /// an empty range. This is the one place run accounting is composed: a
+  /// composite driver takes a mark (size()) on entry and reads its result's
+  /// RunStats as total(mark) on exit. A driver inside its own span takes
+  /// the mark after opening it, since an open span's counters are folded
+  /// only when it closes.
+  RunStats total(std::size_t first = 0) const;
 
   /// Copy of entries [first, size()) rebased to depth 0. Drivers snapshot
   /// their slice of a shared session log into their result structs.
@@ -348,6 +332,9 @@ class PhaseLog {
   friend class Runtime;  // checkpoint serialization + replay installation
 
   std::uint32_t intern(std::string_view name);
+  /// Composition of entries [first, end) at base depth entries[first].depth
+  /// (see total()).
+  RunStats compose(std::size_t first, std::size_t end) const;
   /// Installs `target` as the replay-verification target (requires empty()).
   void begin_replay(PhaseLog target);
   /// Match an incoming leaf/span against the replay target at the cursor

@@ -37,9 +37,12 @@ TEST(Activity, StatsConcatenateAcrossPhases) {
   sim::RunStats b;
   b.rounds = 1;
   b.active_per_round = {7};
-  a += b;
-  EXPECT_EQ(a.active_per_round, (std::vector<std::int32_t>{10, 5, 7}));
-  EXPECT_EQ(static_cast<int>(a.active_per_round.size()), a.rounds);
+  sim::PhaseLog log;
+  log.record("a", a);
+  log.record("b", b);
+  const sim::RunStats total = log.total();
+  EXPECT_EQ(total.active_per_round, (std::vector<std::int32_t>{10, 5, 7}));
+  EXPECT_EQ(static_cast<int>(total.active_per_round.size()), total.rounds);
 }
 
 TEST(Activity, LegalColoringProfileCoversEveryRound) {

@@ -151,7 +151,7 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(cli.get_int("flag", 0), 1);  // a bare flag reads as 1
 
   // A value that is not wholly a number, or is out of range, throws a
-  // precondition_error that names the flag.
+  // flag_error (a precondition_error) that names the flag.
   const char* bad[] = {"prog",      "--n=abc", "--m=12x",
                        "--e=",      "--big=9223372036854775808",
                        "--r=0.5.1", "--h=1e999", "--nan=nan",
@@ -161,15 +161,15 @@ TEST(Cli, ParsesFlags) {
     try {
       strict.get_int(key, 0);
       ADD_FAILURE() << "--" << key << " parsed";
-    } catch (const precondition_error& e) {
+    } catch (const flag_error& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
                 std::string::npos) << e.what();
     }
   }
-  EXPECT_THROW(strict.get_double("r", 0.0), precondition_error);
-  EXPECT_THROW(strict.get_double("h", 0.0), precondition_error);
-  EXPECT_THROW(strict.get_double("nan", 0.0), precondition_error);
-  EXPECT_THROW(strict.get_int("x", 0), precondition_error);
+  EXPECT_THROW(strict.get_double("r", 0.0), flag_error);
+  EXPECT_THROW(strict.get_double("h", 0.0), flag_error);
+  EXPECT_THROW(strict.get_double("nan", 0.0), flag_error);
+  EXPECT_THROW(strict.get_int("x", 0), flag_error);
   EXPECT_EQ(strict.get_int("neg", 0), -3);
   EXPECT_DOUBLE_EQ(strict.get_double("x", 0.0), -2.5e-3);
   EXPECT_DOUBLE_EQ(strict.get_double("neg", 0.0), -3.0);
@@ -181,7 +181,7 @@ TEST(Cli, ParsesFlags) {
     try {
       const Cli parsed(3, const_cast<char**>(spaced));
       ADD_FAILURE() << "'" << stray << "' parsed";
-    } catch (const precondition_error& e) {
+    } catch (const flag_error& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("'") + stray + "'"),
                 std::string::npos) << e.what();
     }

@@ -133,12 +133,13 @@ TEST(Engine, HaltInBeginGivesZeroRounds) {
 }
 
 TEST(Engine, StatsAccumulateAcrossPhases) {
-  sim::RunStats a{3, 10, 20};
-  sim::RunStats b{2, 5, 7};
-  a += b;
-  EXPECT_EQ(a.rounds, 5);
-  EXPECT_EQ(a.messages, 15u);
-  EXPECT_EQ(a.words, 27u);
+  sim::PhaseLog log;
+  log.record("a", sim::RunStats{3, 10, 20});
+  log.record("b", sim::RunStats{2, 5, 7});
+  const sim::RunStats total = log.total();
+  EXPECT_EQ(total.rounds, 5);
+  EXPECT_EQ(total.messages, 15u);
+  EXPECT_EQ(total.words, 27u);
 }
 
 TEST(Engine, DefaultRoundCapGrowsWithN) {

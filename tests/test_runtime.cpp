@@ -22,18 +22,22 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "core/api.hpp"
+#include "core/arb_kuhn.hpp"
 #include "core/arbdefective.hpp"
+#include "core/mis.hpp"
 #include "decomp/forests.hpp"
 #include "decomp/h_partition.hpp"
 #include "decomp/orientations.hpp"
 #include "defective/kuhn.hpp"
 #include "defective/reduce.hpp"
+#include "defective/small_degree.hpp"
 #include "graph/generators.hpp"
 #include "reference_executor.hpp"
 #include "sim/runtime.hpp"
@@ -618,20 +622,81 @@ TEST(PhaseLog, SpansAggregateTheirDirectChildren) {
   // to the run total.
   EXPECT_TRUE(res.phases == log.slice(0));
   EXPECT_TRUE(log.slice(0) == log);
-  const sim::RunStats total = res.phases.total();
-  EXPECT_EQ(total.rounds, res.total.rounds);
-  EXPECT_EQ(total.messages, res.total.messages);
+  EXPECT_TRUE(res.phases.total() == res.total);
 }
 
 TEST(PhaseLog, ResultProfileMatchesLogTimeline) {
-  // Composed drivers fold sub-procedure stats in execution order, so the
-  // result's active_per_round profile equals the concatenation of the log's
-  // leaves. TradeoffAT exercises the deepest composition (arb-kuhn
-  // decomposition before the inner Legal-Coloring).
+  // The result's active_per_round profile is the execution timeline: the
+  // concatenation of the log's leaves in order. TradeoffAT exercises the
+  // deepest composition (arb-kuhn decomposition before the inner
+  // Legal-Coloring).
   const Graph g = planted_arboricity(1 << 10, 8, 13);
   sim::Runtime rt(g);
   const LegalColoringResult res = color_graph(rt, 8, Preset::TradeoffAT);
-  EXPECT_EQ(res.phases.total().active_per_round, res.total.active_per_round);
+  std::vector<std::int32_t> timeline;
+  for (std::size_t i = 0; i < res.phases.size(); ++i) {
+    const auto active = res.phases.active(res.phases[i]);
+    timeline.insert(timeline.end(), active.begin(), active.end());
+  }
+  EXPECT_EQ(timeline, res.total.active_per_round);
+}
+
+TEST(PhaseLog, CompositeDriverTotalsAreTheirLogRange) {
+  // Every composite driver's RunStats -- counters and both per-round series
+  // -- is the composition of the log entries it recorded, at any shard
+  // count, whether it runs at the top of the session log or nested in an
+  // enclosing span behind earlier entries.
+  struct Row {
+    std::string name;
+    std::function<sim::RunStats(sim::Runtime&)> run;
+  };
+  const Graph g = planted_arboricity(600, 4, 21);
+  std::vector<Row> rows = {
+      {"orient_by_ids",
+       [](sim::Runtime& rt) { return orient_by_ids(rt, 4).total; }},
+      {"complete_orientation",
+       [](sim::Runtime& rt) { return complete_orientation(rt, 4).total; }},
+      {"partial_orientation",
+       [](sim::Runtime& rt) { return partial_orientation(rt, 4, 2).total; }},
+      {"forests_decomposition",
+       [](sim::Runtime& rt) { return forests_decomposition(rt, 4).total; }},
+      {"arbdefective_coloring",
+       [](sim::Runtime& rt) { return arbdefective_coloring(rt, 4, 2, 2).total; }},
+      {"arb_kuhn_arbdefective",
+       [](sim::Runtime& rt) { return arb_kuhn_arbdefective(rt, 4, 1).total; }},
+      {"legal_small_degree",
+       [](sim::Runtime& rt) {
+         return legal_small_degree(rt, rt.graph().max_degree()).stats;
+       }},
+      {"legal_coloring",
+       [](sim::Runtime& rt) { return legal_coloring(rt, 4, 4).total; }},
+      {"mis_graph",
+       [](sim::Runtime& rt) { return mis_graph(rt, 4).total; }},
+  };
+  for (int p = 0; p < kNumPresets; ++p) {
+    const auto preset = static_cast<Preset>(p);
+    rows.push_back({preset_name(preset), [preset](sim::Runtime& rt) {
+                      return color_graph(rt, 4, preset).total;
+                    }});
+  }
+  for (const Row& row : rows) {
+    for (const int shards : {1, 3}) {
+      for (const bool nested : {false, true}) {
+        SCOPED_TRACE(row.name + " shards=" + std::to_string(shards) +
+                     (nested ? " nested" : ""));
+        sim::Runtime rt(g, shards);
+        std::optional<sim::PhaseSpan> outer;
+        if (nested) {
+          h_partition(rt, 4);
+          outer.emplace(rt, "outer");
+        }
+        const std::size_t mark = rt.log().size();
+        const sim::RunStats total = row.run(rt);
+        EXPECT_TRUE(total == rt.log().total(mark));
+        EXPECT_GT(total.rounds, 0);
+      }
+    }
+  }
 }
 
 TEST(PhaseLog, SessionLogSurvivesAThrowingPipeline) {
@@ -647,9 +712,7 @@ TEST(PhaseLog, SessionLogSurvivesAThrowingPipeline) {
   EXPECT_EQ(rt.log()[mark].depth, 0) << "a span leaked across the throw";
   const LegalColoringResult res = color_graph(rt, 31, Preset::LinearColors);
   EXPECT_TRUE(is_legal_coloring(g, res.colors));
-  const sim::RunStats total = res.phases.total();
-  EXPECT_EQ(total.rounds, res.total.rounds);
-  EXPECT_EQ(total.messages, res.total.messages);
+  EXPECT_TRUE(res.phases.total() == res.total);
 }
 
 TEST(PhaseLog, SliceRebasesDepthAndPreservesNames) {
