@@ -17,10 +17,13 @@ class SimpleArbProgram : public sim::VertexProgram {
         groups_(groups),
         colors_(static_cast<std::size_t>(g.num_vertices()), -1),
         pending_(static_cast<std::size_t>(g.num_vertices()), 0),
-        histogram_(static_cast<std::size_t>(g.num_vertices())) {}
+        histogram_(static_cast<std::size_t>(g.num_vertices()) *
+                       static_cast<std::size_t>(k),
+                   0) {}
 
   std::string name() const override { return "simple-arbdefective"; }
   int max_words() const override { return simple_arbdefective_max_words(); }
+  bool sleeps() const override { return true; }
 
   void begin(sim::Ctx& ctx) override {
     // Round 0: announce group so everyone can identify same-group parents.
@@ -39,17 +42,21 @@ class SimpleArbProgram : public sim::VertexProgram {
         if (msg.data[0] == mine && sigma_->is_out(v, msg.port)) ++parents;
       }
       pending_[static_cast<std::size_t>(v)] = parents;
-      histogram_[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(k_), 0);
-      if (parents == 0) select_and_finish(ctx, v, mine);
-      return;
+    } else {
+      int* const hist = histogram(v);
+      for (const sim::MsgView& msg : inbox) {
+        if (msg.data[0] != mine) continue;
+        if (!sigma_->is_out(v, msg.port)) continue;
+        ++hist[msg.data[1]];
+        --pending_[static_cast<std::size_t>(v)];
+      }
     }
-    for (const sim::MsgView& msg : inbox) {
-      if (msg.data[0] != mine) continue;
-      if (!sigma_->is_out(v, msg.port)) continue;
-      ++histogram_[static_cast<std::size_t>(v)][static_cast<std::size_t>(msg.data[1])];
-      --pending_[static_cast<std::size_t>(v)];
+    if (pending_[static_cast<std::size_t>(v)] == 0) {
+      select_and_finish(ctx, v, mine);
+    } else {
+      // Only a parent's selection can move this vertex on.
+      ctx.sleep_until(sim::Ctx::kOnMail);
     }
-    if (pending_[static_cast<std::size_t>(v)] == 0) select_and_finish(ctx, v, mine);
   }
 
   Coloring take_colors() { return std::move(colors_); }
@@ -59,17 +66,19 @@ class SimpleArbProgram : public sim::VertexProgram {
     const auto s = static_cast<std::size_t>(v);
     w.i64(colors_[s]);
     w.i32(pending_[s]);
-    const auto& hist = histogram_[s];
-    w.u32(static_cast<std::uint32_t>(hist.size()));
-    for (const int h : hist) w.i32(h);
+    const int* const hist = histogram(v);
+    w.u32(static_cast<std::uint32_t>(k_));
+    for (int c = 0; c < k_; ++c) w.i32(hist[c]);
   }
   void load_vertex_state(V v, wire::ByteReader& r) override {
     const auto s = static_cast<std::size_t>(v);
     colors_[s] = r.i64();
     pending_[s] = r.i32();
-    auto& hist = histogram_[s];
-    hist.resize(r.u32());
-    for (int& h : hist) h = r.i32();
+    DVC_ENSURE(r.u32() == static_cast<std::uint32_t>(k_),
+               "simple-arbdefective state carries a histogram of the wrong "
+               "width");
+    int* const hist = histogram(v);
+    for (int c = 0; c < k_; ++c) hist[c] = r.i32();
   }
 
  private:
@@ -77,14 +86,20 @@ class SimpleArbProgram : public sim::VertexProgram {
     return groups_ ? (*groups_)[static_cast<std::size_t>(v)] : 0;
   }
 
+  /// v's row of the flat n x k parent-color histogram.
+  int* histogram(V v) {
+    return histogram_.data() + static_cast<std::size_t>(v) * k_;
+  }
+  const int* histogram(V v) const {
+    return histogram_.data() + static_cast<std::size_t>(v) * k_;
+  }
+
   void select_and_finish(sim::Ctx& ctx, V v, std::int64_t mine) {
     // Color used by the fewest parents (ties: smallest color).
-    const auto& hist = histogram_[static_cast<std::size_t>(v)];
+    const int* const hist = histogram(v);
     int best = 0;
     for (int c = 1; c < k_; ++c) {
-      if (hist[static_cast<std::size_t>(c)] < hist[static_cast<std::size_t>(best)]) {
-        best = c;
-      }
+      if (hist[c] < hist[best]) best = c;
     }
     colors_[static_cast<std::size_t>(v)] = best;
     ctx.broadcast({mine, best});
@@ -97,7 +112,8 @@ class SimpleArbProgram : public sim::VertexProgram {
   const std::vector<std::int64_t>* groups_;
   Coloring colors_;
   std::vector<int> pending_;
-  std::vector<std::vector<int>> histogram_;
+  /// Per-vertex parent-color counts, k_ per vertex (see histogram()).
+  std::vector<int> histogram_;
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "defective/reduce.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -29,10 +31,13 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
         groups_(groups),
         colors_(static_cast<std::size_t>(g.num_vertices()), -1),
         pending_(static_cast<std::size_t>(g.num_vertices()), 0),
-        parent_colors_(static_cast<std::size_t>(g.num_vertices())) {}
+        received_(static_cast<std::size_t>(g.num_vertices()), 0),
+        parent_colors_(std::make_unique_for_overwrite<std::int64_t[]>(
+            static_cast<std::size_t>(g.num_slots()))) {}
 
   std::string name() const override { return "greedy-by-orientation"; }
   int max_words() const override { return greedy_by_orientation_max_words(); }
+  bool sleeps() const override { return true; }
 
   void begin(sim::Ctx& ctx) override {
     ctx.broadcast({group_at(groups_, ctx.vertex())});
@@ -48,19 +53,21 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
         if (msg.data[0] == mine && sigma_->is_out(v, msg.port)) ++parents;
       }
       pending_[static_cast<std::size_t>(v)] = parents;
-      if (parents == 0) {
-        choose_and_finish(ctx, v, mine);
+    } else {
+      for (const sim::MsgView& msg : inbox) {
+        if (msg.data[0] != mine) continue;
+        if (!sigma_->is_out(v, msg.port)) continue;
+        const auto i = static_cast<std::size_t>(v);
+        parent_colors_[static_cast<std::size_t>(g_->slot(v, 0)) +
+                       received_[i]++] = msg.data[1];
+        --pending_[i];
       }
-      return;
-    }
-    for (const sim::MsgView& msg : inbox) {
-      if (msg.data[0] != mine) continue;
-      if (!sigma_->is_out(v, msg.port)) continue;
-      parent_colors_[static_cast<std::size_t>(v)].push_back(msg.data[1]);
-      --pending_[static_cast<std::size_t>(v)];
     }
     if (pending_[static_cast<std::size_t>(v)] == 0) {
       choose_and_finish(ctx, v, mine);
+    } else {
+      // Only a parent's color can move this vertex on.
+      ctx.sleep_until(sim::Ctx::kOnMail);
     }
   }
 
@@ -71,22 +78,33 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
     const auto s = static_cast<std::size_t>(v);
     w.i64(colors_[s]);
     w.i32(pending_[s]);
-    const auto& parents = parent_colors_[s];
-    w.u32(static_cast<std::uint32_t>(parents.size()));
-    for (const std::int64_t c : parents) w.i64(c);
+    w.u32(received_[s]);
+    for (const std::int64_t c : parent_colors(v)) w.i64(c);
   }
   void load_vertex_state(V v, wire::ByteReader& r) override {
     const auto s = static_cast<std::size_t>(v);
     colors_[s] = r.i64();
     pending_[s] = r.i32();
-    auto& parents = parent_colors_[s];
-    parents.resize(r.u32());
-    for (std::int64_t& c : parents) c = r.i64();
+    received_[s] = r.u32();
+    DVC_ENSURE(received_[s] <= static_cast<std::uint32_t>(g_->degree(v)),
+               "greedy-by-orientation state carries more parent colors than "
+               "neighbors");
+    for (std::int64_t& c : parent_colors(v)) c = r.i64();
   }
 
  private:
+  /// The parent colors v has received, in arrival order.
+  std::span<std::int64_t> parent_colors(V v) {
+    return {parent_colors_.get() + g_->slot(v, 0),
+            received_[static_cast<std::size_t>(v)]};
+  }
+  std::span<const std::int64_t> parent_colors(V v) const {
+    return {parent_colors_.get() + g_->slot(v, 0),
+            received_[static_cast<std::size_t>(v)]};
+  }
+
   void choose_and_finish(sim::Ctx& ctx, V v, std::int64_t mine) {
-    auto& taken = parent_colors_[static_cast<std::size_t>(v)];
+    const std::span<std::int64_t> taken = parent_colors(v);
     std::sort(taken.begin(), taken.end());
     std::int64_t pick = 0;
     for (const std::int64_t c : taken) {
@@ -105,7 +123,11 @@ class GreedyByOrientationProgram : public sim::VertexProgram {
   const std::vector<std::int64_t>* groups_;
   Coloring colors_;
   std::vector<int> pending_;
-  std::vector<std::vector<std::int64_t>> parent_colors_;
+  /// Flat parent colors, one cell per slot (left uninitialized): v's
+  /// parents are among its neighbors, so the first received_[v] cells of
+  /// v's slot row hold the parent colors that have arrived.
+  std::vector<std::uint32_t> received_;
+  std::unique_ptr<std::int64_t[]> parent_colors_;
 };
 
 // Schedule-driven recoloring shared by the naive and KW reductions: every
@@ -229,6 +251,8 @@ class KwReduceProgram : public sim::VertexProgram {
     return 1 + static_cast<int>(palettes_.size() - 1) * static_cast<int>(half_);
   }
 
+  bool sleeps() const override { return true; }
+
   void begin(sim::Ctx& ctx) override {
     const V v = ctx.vertex();
     if (palettes_.size() == 1) {  // already within D+1 colors
@@ -236,6 +260,7 @@ class KwReduceProgram : public sim::VertexProgram {
       return;
     }
     ctx.broadcast({group_at(groups_, v), colors_[static_cast<std::size_t>(v)]});
+    ctx.sleep_until(next_action(v, 0));
   }
 
   void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
@@ -287,10 +312,12 @@ class KwReduceProgram : public sim::VertexProgram {
       if (recolored) ctx.broadcast({mine, colors_[static_cast<std::size_t>(v)]});
       if (phase + 2 == static_cast<int>(palettes_.size())) {
         ctx.halt();
+        return;
       }
     } else if (recolored) {
       ctx.broadcast({mine, colors_[static_cast<std::size_t>(v)]});
     }
+    ctx.sleep_until(next_action(v, ctx.round()));
   }
 
   Coloring take_colors() { return std::move(colors_); }
@@ -312,6 +339,20 @@ class KwReduceProgram : public sim::VertexProgram {
   }
 
  private:
+  /// First round after `round` (0 = begin) in which step(v) acts on an
+  /// empty inbox: the round that handles v's local color if that color
+  /// still awaits recoloring in the current phase, else the phase's last
+  /// round (renumbering, or the halt). Between the two a mail-less step
+  /// changes nothing, so v may sleep until then.
+  int next_action(V v, int round) const {
+    const int half = static_cast<int>(half_);
+    const int phase = round / half;  // phase of round + 1
+    const std::int64_t local =
+        colors_[static_cast<std::size_t>(v)] % bucket_width_;
+    return phase * half +
+           (local >= half_ ? static_cast<int>(bucket_width_ - local) : half);
+  }
+
   void renumber(V v) {
     auto renum = [&](std::int64_t c) {
       return (c / bucket_width_) * half_ + (c % bucket_width_);

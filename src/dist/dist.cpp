@@ -39,6 +39,7 @@ struct RuntimeAccess {
   static const sim::RunStats& stats(R& rt) { return rt.stats_; }
   static std::int32_t out_stamp(R& rt) { return rt.stamp_base_ + rt.round_; }
   static std::vector<std::uint8_t>& halted(R& rt) { return rt.halted_; }
+  static bool phase_sleeps(R& rt) { return rt.phase_sleeps_; }
 
   static void run_shard(R& rt, int shard, sim::VertexProgram& program,
                         bool is_begin) {
@@ -251,7 +252,9 @@ struct WorkerCore {
   /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
   /// the slot for next round's delivery and appends the payload words to
   /// the SENDER shard's flat buffer (offsets are recomputed locally -- the
-  /// sender's offsets are meaningless in this process's buffers). FIFO
+  /// sender's offsets are meaningless in this process's buffers). In a
+  /// sleeping phase it also stamps the receiver's mail, found in O(1) as
+  /// the target of the slot's mirror, so a sleeping receiver wakes. FIFO
   /// transport order guarantees every round-r message lands before the
   /// round-r+1 sweep that consumes it.
   void apply_msgs(std::span<const std::uint8_t> payload) {
@@ -261,6 +264,8 @@ struct WorkerCore {
     const std::uint32_t n = r.u32();
     auto& arena = RuntimeAccess::out_arena(*rt);
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
+    const bool sleeps = RuntimeAccess::phase_sleeps(*rt);
+    const Graph& g = rt->graph();
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::int64_t slot = r.i64();
       const auto sender_shard = static_cast<std::size_t>(r.u32());
@@ -279,6 +284,10 @@ struct WorkerCore {
       arena.epoch[s] = stamp;
       arena.off[s] = static_cast<std::uint32_t>(at);
       arena.len[s] = static_cast<std::uint32_t>(len);
+      if (sleeps) {
+        arena.mail[static_cast<std::size_t>(
+            g.slot_target(g.mirror_slot(slot)))] = stamp;
+      }
       words.resize(at + len);
       r.i64s(std::span<std::int64_t>(words).subspan(at));
     }

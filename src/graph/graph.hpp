@@ -84,6 +84,11 @@ class Graph {
   V neighbor(V v, int port) const {
     return adj_[static_cast<std::size_t>(slot(v, port))];
   }
+  /// The neighbor slot s leads to: neighbor(v, port) for s = slot(v, port).
+  /// The receiver of a message in slot s is slot_target(mirror_slot(s)).
+  V slot_target(std::int64_t s) const {
+    return adj_[static_cast<std::size_t>(s)];
+  }
   int max_degree() const { return max_deg_; }
 
   /// Directed slot id of (v, port).

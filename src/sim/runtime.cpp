@@ -371,6 +371,10 @@ void Ctx::broadcast(std::span<const std::int64_t> payload) {
 
 void Ctx::halt() { rt_->do_halt(shard_, v_); }
 
+void Ctx::sleep_until(int round) {
+  if (rt_->phase_sleeps_) rt_->wake_[static_cast<std::size_t>(v_)] = round;
+}
+
 std::vector<std::int64_t>& Ctx::scratch(int which) {
   DVC_REQUIRE(which >= 0 && which < kNumScratch, "scratch index out of range");
   return rt_->shards_[static_cast<std::size_t>(shard_)]
@@ -406,9 +410,12 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     arena.epoch = std::make_unique_for_overwrite<std::int32_t[]>(slots);
     arena.off = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     arena.len = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
+    arena.mail =
+        std::make_unique_for_overwrite<std::int32_t[]>(static_cast<std::size_t>(n));
     arena.words.resize(static_cast<std::size_t>(num_shards_));
   }
   halted_.assign(static_cast<std::size_t>(n), 0);
+  wake_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
   for (Shard& sh : shards_) {
     // Live list holds at most the shard's vertex range, inboxes at most the
@@ -518,6 +525,11 @@ void Runtime::send_ports(int shard, V from, int first, int count,
 
   const std::int32_t stamp = stamp_base_ + round_;
   const std::int64_t row = g_->slot(from, 0);
+  // Sleeping phases only: stamp each receiver so a sleeper wakes. Receivers
+  // may live on other shards, hence the relaxed atomic store (every writer
+  // of a cell this round stores the same stamp; the next round reads it
+  // after the barrier).
+  std::int32_t* const mail = phase_sleeps_ ? out.mail.get() : nullptr;
   const bool capture = dist_capture_;
   // Checksum lane: fold what was ACTUALLY sent, before any injector can
   // touch the arena. XOR-combined across slots and shards, so the totals
@@ -533,6 +545,11 @@ void Runtime::send_ports(int shard, V from, int first, int count,
     out.epoch[si] = stamp;
     out.off[si] = off;
     out.len[si] = static_cast<std::uint32_t>(len);
+    if (mail) {
+      std::atomic_ref<std::int32_t>(
+          mail[static_cast<std::size_t>(g_->slot_target(row + port))])
+          .store(stamp, std::memory_order_relaxed);
+    }
     // Distributed sweep: remember every slot written outside this worker's
     // own range -- those messages must cross the wire to their owner.
     if (capture && (s < dist_slot_lo_ || s >= dist_slot_hi_)) {
@@ -594,6 +611,11 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
   const std::vector<std::int64_t>* sole_words =
       num_shards_ == 1 ? in.words.data() : nullptr;
   Inbox& inbox = sh.inbox;
+  // Sleeping phases: a live vertex that is asleep (its named round not yet
+  // here) with no mail stamped for this round is skipped. Its step() would
+  // see an empty inbox and, by the sleep contract, do nothing -- so it
+  // costs what that step would have counted (one work item) and stays live.
+  const std::int32_t* const mail = phase_sleeps_ ? in.mail.get() : nullptr;
   // Sweep the live list in canonical (ascending) order, compacting it in
   // place: only step(v) itself can halt v, so survival is known right after
   // the call and the list never needs a separate rebuild pass.
@@ -601,6 +623,15 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
   const std::size_t live_count = sh.live.size();
   for (std::size_t i = 0; i < live_count; ++i) {
     const V v = sh.live[i];
+    if (mail) {
+      std::int32_t& wake = wake_[static_cast<std::size_t>(v)];
+      if (round_ < wake && mail[v] != want) {
+        ++sh.work_items;
+        sh.live[w++] = v;
+        continue;
+      }
+      wake = 0;  // a sleep lasts until the vertex's next step
+    }
     inbox.msgs_.clear();
     const int deg = g_->degree(v);
     const std::int64_t base = g_->slot(v, 0);
@@ -660,6 +691,8 @@ void Runtime::init_shard(int shard) {
               std::uint32_t{0});
     std::fill(arena.len.get() + sh.slot_lo, arena.len.get() + sh.slot_hi,
               std::uint32_t{0});
+    std::fill(arena.mail.get() + sh.first, arena.mail.get() + sh.last,
+              std::int32_t{-1});
   }
 }
 
@@ -742,6 +775,7 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
       std::numeric_limits<std::int32_t>::max() - std::max(max_rounds, 0) - 2) {
     for (Arena& arena : arenas_) {
       std::fill_n(arena.epoch.get(), static_cast<std::size_t>(slots_), -1);
+      std::fill_n(arena.mail.get(), static_cast<std::size_t>(n), -1);
     }
     stamp_base_ = 0;
   }
@@ -754,6 +788,8 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
   } stamp_guard{*this};
 
   std::fill(halted_.begin(), halted_.end(), 0);
+  phase_sleeps_ = program.sleeps();
+  if (phase_sleeps_) std::fill(wake_.begin(), wake_.end(), 0);
   live_ = n;
   round_ = 0;
   idle_rounds_ = 0;
@@ -1183,7 +1219,12 @@ Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
       mb.payload_bytes += w.capacity() * sizeof(std::int64_t);
     }
   }
-  mb.vertex_bytes += halted_.capacity();
+  // Per-vertex: halted flags, wake rounds, and both arenas' mail stamps
+  // (raw arrays of n: exact).
+  mb.vertex_bytes += halted_.capacity() +
+                     wake_.capacity() * sizeof(std::int32_t) +
+                     2 * static_cast<std::uint64_t>(g_->num_vertices()) *
+                         sizeof(std::int32_t);
   for (const Shard& sh : shards_) {
     mb.index_bytes += sh.live.capacity() * sizeof(V);
     for (const auto& s : sh.scratch) {

@@ -45,10 +45,14 @@
 // compacted, canonically ordered live-vertex list (maintained incrementally
 // as vertices halt, not re-derived by an O(n) flag sweep), and a live
 // vertex's inbox is the epoch-fresh cells among its own ports. Per-round
-// cost is O(sum_{live} deg) instead of O(n + 2m). Outputs, RunStats and the
+// cost is O(live + sum_{awake} deg) instead of O(n + 2m): a live vertex is
+// *awake* unless its program declared it asleep (Ctx::sleep_until, in
+// phases whose program declares VertexProgram::sleeps()) and neither mail
+// nor its named round has reached it; a sleeper costs one flag check, no
+// port scan and no step() call. Outputs, RunStats and the
 // PhaseLog are checked bit-identical against the tests-only reference
 // executor (tests/reference_executor.hpp), a full sweep over an ordered
-// message map that shares none of this delivery code.
+// message map that shares none of this delivery code and ignores sleeps.
 //
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
@@ -77,6 +81,7 @@
 #include <exception>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -99,7 +104,9 @@ namespace dvc::sim {
 /// The tests-only reference executor's window into the session
 /// (tests/reference_executor.hpp defines it): Ctx construction, inbox
 /// filling, the halted flags, shard 0's counters and the out arena --
-/// nothing of the delivery machinery.
+/// nothing of the delivery machinery. It also lets a test executor run the
+/// production shard sweep over a wrapper program (to count a program's
+/// step() calls); the reference executor itself never does.
 struct ReferenceAccess;
 
 /// Raised when a message's payload exceeds the CONGEST word cap in force
@@ -410,6 +417,19 @@ class Ctx {
   }
   void halt();
 
+  /// Sleep hint (see DESIGN.md, "Sleeping vertices"): promises that step()
+  /// of this vertex on an EMPTY inbox in any round before `round` changes
+  /// nothing and sends nothing. The runtime may then skip the vertex --
+  /// no port scan, no step() call -- until a message reaches it or `round`
+  /// arrives; it still counts as live and its skipped activation still
+  /// counts as one work item, so RunStats are unchanged. kOnMail wakes on
+  /// mail only. A sleep lasts until the vertex's next step() (which may
+  /// renew it). Honoured only in phases whose program declares
+  /// VertexProgram::sleeps(); ignored otherwise and by the reference
+  /// executor, which is what makes the identity suites check each sleep.
+  void sleep_until(int round);
+  static constexpr int kOnMail = std::numeric_limits<int>::max();
+
   /// Runtime-owned scratch buffer (cleared by nobody: callers .clear() it).
   /// One instance per executor shard, so programs that need transient
   /// per-step workspace stay allocation-free AND race-free under sharded
@@ -442,6 +462,12 @@ class VertexProgram {
   /// send; a wider payload raises bandwidth_error, making the declared
   /// contract mechanically checked on every run.
   virtual int max_words() const { return 0; }
+
+  /// Sleep contract: true iff the program may call Ctx::sleep_until. Only
+  /// such phases pay the per-message mail stamp that wakes a sleeper; the
+  /// stamp is one extra store per message, which the dense phases (every
+  /// vertex stepping every round) must not be charged for.
+  virtual bool sleeps() const { return false; }
 
   /// Distribution contract (see src/dist/): a dist-capable program promises
   /// that begin(v)/step(v) mutate only v-owned state -- per-vertex or
@@ -581,7 +607,9 @@ class Runtime {
   /// message-level kinds (drops, corruptions) pick victims by canonical
   /// slot id so the same plan injects the same fault at any shard count.
   /// A drop un-sends a message by rewinding its slot's epoch stamp, which
-  /// the port-scan delivery re-reads. Pass a default-constructed plan to
+  /// the port-scan delivery re-reads; the receiver's mail stamp stays, so a
+  /// sleeping receiver wakes to an empty inbox (a no-op by the sleep
+  /// contract). Pass a default-constructed plan to
   /// clear; sessions handed across jobs must clear it (see ScopedFaultPlan).
   void set_fault_plan(FaultPlan plan) {
     fault_plan_ = std::move(plan);
@@ -674,7 +702,7 @@ class Runtime {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
     std::uint64_t index_bytes = 0;    ///< live lists, scratch, inboxes
-    std::uint64_t vertex_bytes = 0;   ///< halted flags (per-vertex)
+    std::uint64_t vertex_bytes = 0;   ///< halted, wake rounds, mail stamps
     std::uint64_t total() const {
       return arena_bytes + payload_bytes + index_bytes + vertex_bytes;
     }
@@ -726,6 +754,11 @@ class Runtime {
     std::unique_ptr<std::int32_t[]> epoch;
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
+    /// Vertex-indexed mail stamp: the session round that last wrote ANY of
+    /// the vertex's inbox slots. Written only in sleeping phases (see
+    /// VertexProgram::sleeps), read only to wake a sleeper; shares the
+    /// epoch's monotone stamps, double buffer and wrap reset.
+    std::unique_ptr<std::int32_t[]> mail;
     std::vector<std::vector<std::int64_t>> words;  // one per shard
   };
 
@@ -769,8 +802,9 @@ class Runtime {
   /// `from`. Port, cap and offset checks, the payload copy and the message
   /// counters run once per call; each slot then gets its epoch stamp (the
   /// one-send-per-edge check, in ascending port order), an off/len pointing
-  /// at the shared copy, its dist capture and its checksum lane. Ctx::send
-  /// is count 1, Ctx::broadcast the whole row.
+  /// at the shared copy, its dist capture and its checksum lane, and in a
+  /// sleeping phase the receiver its mail stamp. Ctx::send is count 1,
+  /// Ctx::broadcast the whole row.
   void send_ports(int shard, V from, int first, int count,
                   std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
@@ -814,6 +848,13 @@ class Runtime {
   Arena arenas_[2];
   int in_idx_ = 0;  // arenas_[in_idx_] feeds this round's inboxes
   std::vector<std::uint8_t> halted_;
+  /// Per-vertex sleep: v is asleep while round_ < wake_[v] (0 = awake).
+  /// Reset at the start of every sleeping phase and before every step;
+  /// written only by v's own shard.
+  std::vector<std::int32_t> wake_;
+  /// program.sleeps() of the running phase: gates the mail stamp, the
+  /// sleep check in sparse_step and Ctx::sleep_until.
+  bool phase_sleeps_ = false;
   V live_ = 0;
   int round_ = 0;
   /// Session-round base of the current phase: epoch stamps are

@@ -45,6 +45,13 @@ struct ReferenceAccess {
   static void park_error(Runtime& rt, std::exception_ptr error) {
     rt.shards_[0].error = std::move(error);
   }
+  /// The PRODUCTION sweep of one shard (live list, sleep check, port scan)
+  /// over `program` -- for test executors that wrap a library program to
+  /// count its activations. Not used by the reference executor below.
+  static void production_sweep(Runtime& rt, int shard, VertexProgram& program,
+                               bool is_begin) {
+    rt.run_shard_phase(shard, program, is_begin);
+  }
   /// Copies every slot the sweep that just ran wrote (stamped with the
   /// current session round) out of the out arena into `sent`.
   static void collect_sent(

@@ -7,11 +7,41 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/prng.hpp"
+#include "graph/graph.hpp"
 #include "sim/runtime.hpp"
 
 namespace dvc_test {
+
+/// `copies` disjoint K_k cliques with vertex ids shuffled by `seed`
+/// (Fisher-Yates over the repo's own generator, so the graph is the same
+/// under every standard library). With k = 6, 32 copies, arboricity bound 5
+/// and eta = 2, Corollary 4.7's pipeline colors the cliques' groups from
+/// overlapping palettes and overshoots Delta + 1, which forces
+/// delta_plus_one_low_arb's Kuhn-Wattenhofer fallback.
+inline dvc::Graph shuffled_cliques(int k, int copies, std::uint64_t seed) {
+  const dvc::V n = static_cast<dvc::V>(k) * copies;
+  std::vector<dvc::V> id(static_cast<std::size_t>(n));
+  for (dvc::V i = 0; i < n; ++i) id[static_cast<std::size_t>(i)] = i;
+  dvc::Rng rng(seed);
+  for (dvc::V i = n - 1; i > 0; --i) {
+    std::swap(id[static_cast<std::size_t>(i)],
+              id[rng.uniform(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  dvc::EdgeList edges;
+  for (int c = 0; c < copies; ++c) {
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) {
+        edges.emplace_back(id[static_cast<std::size_t>(c * k + i)],
+                           id[static_cast<std::size_t>(c * k + j)]);
+      }
+    }
+  }
+  return dvc::Graph::from_edges(n, edges);
+}
 
 inline bool same_stats(const dvc::sim::RunStats& a, const dvc::sim::RunStats& b) {
   return a == b;  // RunStats::operator== covers every field, new ones too

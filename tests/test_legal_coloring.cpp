@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "core/legal_coloring.hpp"
 #include "graph/generators.hpp"
+#include "test_helpers.hpp"
 
 namespace dvc {
 namespace {
@@ -132,6 +133,29 @@ TEST(LegalColoring, Corollary47DeltaPlusOne) {
   EXPECT_LE(res.distinct, g.max_degree() + 1);
   // o(Delta) colors in fact.
   EXPECT_LT(res.distinct, g.max_degree() / 2);
+}
+
+TEST(LegalColoring, Corollary47FallbackReducesAnOvershootToDeltaPlusOne) {
+  // Disjoint K6s under an overstated arboricity bound: the refinement loop
+  // splits each clique across groups, the groups' palettes overlap only by
+  // offset, and the union overshoots Delta + 1 = 6 -- so the
+  // Kuhn-Wattenhofer fallback must run and bring it back.
+  const Graph g = dvc_test::shuffled_cliques(6, 32, 1);
+  sim::Runtime rt(g);
+  const LegalColoringResult res =
+      delta_plus_one_low_arb(rt, /*arboricity_bound=*/5, /*eta=*/2.0);
+  bool fallback = false;
+  for (std::size_t i = 0; i < res.phases.size(); ++i) {
+    if (res.phases.name(i) == "kw-fallback-to-delta-plus-one") {
+      fallback = true;
+      EXPECT_GT(res.phases.stats(i).rounds, 0);
+    }
+  }
+  EXPECT_TRUE(fallback) << "the graph no longer forces the fallback branch";
+  EXPECT_TRUE(is_legal_coloring(g, res.colors));
+  EXPECT_LE(res.distinct, g.max_degree() + 1);
+  EXPECT_EQ(res.distinct, static_cast<int>(palette_span(res.colors)));
+  EXPECT_TRUE(res.total == res.phases.total());
 }
 
 TEST(LegalColoring, DeterministicAcrossRuns) {
