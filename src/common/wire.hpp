@@ -25,6 +25,13 @@
 // uses: any flipped bit, truncation or extension anywhere in the frame
 // changes it or its length check, and decoding raises dvc::corruption_error
 // -- never silent damage.
+//
+// Besides fixed-width little-endian integers, payloads may carry LEB128
+// varints: 7 bits per byte, low group first, high bit set on every byte but
+// the last, at most 10 bytes for 64 bits. Signed words are zigzag-mapped
+// first (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so a word of magnitude
+// below 64 takes one byte whatever its sign. A varint longer than 10 bytes,
+// or whose 10th byte holds more than the 64th bit, is corruption.
 #pragma once
 
 #include <bit>
@@ -66,7 +73,44 @@ inline void store_le(std::uint8_t* p, std::uint64_t v, std::size_t n) {
   }
 }
 
+inline constexpr std::uint64_t zigzag(std::int64_t v) {
+  return (std::bit_cast<std::uint64_t>(v) << 1) ^
+         std::bit_cast<std::uint64_t>(v >> 63);
+}
+
+inline constexpr std::int64_t unzigzag(std::uint64_t u) {
+  return std::bit_cast<std::int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
+
 }  // namespace detail
+
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `v` little-endian at `p` and returns one past its last byte.
+inline std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  detail::store_le(p, v, 4);
+  return p + 4;
+}
+
+/// Writes `v` as an LEB128 varint at `p` (1 to kMaxVarintBytes bytes) and
+/// returns one past its last byte.
+inline std::uint8_t* put_uvarint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// Writes each of `words` as a zigzag varint at `p` (at most
+/// kMaxVarintBytes bytes each) and returns one past the last byte.
+inline std::uint8_t* put_svarints(std::uint8_t* p,
+                                  std::span<const std::int64_t> words) {
+  for (const std::int64_t w : words) p = put_uvarint(p, detail::zigzag(w));
+  return p;
+}
 
 /// Order-dependent fold of a byte stream under `seed`; the checksum idiom
 /// shared by the checkpoint trailer and the frame trailer. Folds one
@@ -98,15 +142,11 @@ struct ByteWriter {
   void u64(std::uint64_t v) { le(v, 8); }
   void i32(std::int32_t v) { u32(std::bit_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  /// Appends `words` as consecutive little-endian i64s (one bulk copy on a
-  /// little-endian host).
-  void i64s(std::span<const std::int64_t> words) {
-    if constexpr (detail::kLittleEndian) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
-      buf.insert(buf.end(), p, p + words.size_bytes());
-    } else {
-      for (const std::int64_t w : words) i64(w);
-    }
+  void uvarint(std::uint64_t v) { trim(put_uvarint(grow(kMaxVarintBytes), v)); }
+  void svarint(std::int64_t v) { uvarint(detail::zigzag(v)); }
+  /// Appends `words` as consecutive zigzag varints.
+  void svarints(std::span<const std::int64_t> words) {
+    trim(put_svarints(grow(kMaxVarintBytes * words.size()), words));
   }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -116,6 +156,17 @@ struct ByteWriter {
   /// placeholder earlier).
   void patch_u32(std::size_t at, std::uint32_t v) {
     detail::store_le(buf.data() + at, v, 4);
+  }
+  /// Grow, then store in place: appends `max` scratch bytes and returns
+  /// where they start. Store at most `max` bytes there, then call trim with
+  /// one past the last byte stored to drop the unused rest.
+  std::uint8_t* grow(std::size_t max) {
+    const std::size_t at = buf.size();
+    buf.resize(at + max);
+    return buf.data() + at;
+  }
+  void trim(const std::uint8_t* end) {
+    buf.resize(static_cast<std::size_t>(end - buf.data()));
   }
 
  private:
@@ -137,7 +188,7 @@ struct ByteReader {
   std::size_t pos = 0;
   const char* context = "wire buffer";
   void need(std::size_t n) {
-    if (pos + n > buf.size()) {
+    if (n > buf.size() - pos) {
       throw corruption_error(
           std::string(context) + " truncated: ran past its end while decoding",
           /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 0, 0);
@@ -152,17 +203,27 @@ struct ByteReader {
   std::uint64_t u64() { return le(8); }
   std::int32_t i32() { return std::bit_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
-  /// Fills `out` with the next out.size() little-endian i64s (one bounds
-  /// check and one bulk copy on a little-endian host).
-  void i64s(std::span<std::int64_t> out) {
-    need(out.size_bytes());
-    if (out.empty()) return;
-    if constexpr (detail::kLittleEndian) {
-      std::memcpy(out.data(), buf.data() + pos, out.size_bytes());
-      pos += out.size_bytes();
-    } else {
-      for (std::int64_t& w : out) w = i64();
+  std::uint64_t uvarint() {
+    if (pos < buf.size() && buf[pos] < 0x80) return buf[pos++];
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t b = u8();
+      if (shift == 63 && b > 1) {
+        throw corruption_error(
+            std::string(context) + " holds a varint longer than 64 bits",
+            /*phase_label=*/"", /*phase=*/-1, /*round=*/-1, 1, b);
+      }
+      v |= std::uint64_t{b & 0x7fu} << shift;
+      if (b < 0x80) return v;
     }
+  }
+  std::int64_t svarint() { return detail::unzigzag(uvarint()); }
+  /// Fills `out` with the next out.size() zigzag varints. Every varint takes
+  /// at least one byte, so a count the buffer cannot hold is rejected
+  /// before anything is read.
+  void svarints(std::span<std::int64_t> out) {
+    need(out.size());
+    for (std::int64_t& w : out) w = svarint();
   }
   std::string str() {
     const std::uint32_t len = u32();
@@ -185,7 +246,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::uint8_t kFrameVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it

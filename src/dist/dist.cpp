@@ -206,10 +206,13 @@ struct WorkerCore {
   int corrupt_countdown = -1;
   /// Reply frames, kept across sweeps (cleared, not freed) so a sweep's
   /// encoding allocates nothing once the buffers have grown: one kMsgs
-  /// frame per destination worker, with its entry count, the kStats frame
-  /// and the kState frame.
+  /// frame per destination worker, with its group count and the byte
+  /// offset and entry count of its current sender shard's group, the
+  /// kStats frame and the kState frame.
   std::vector<ByteWriter> msgs_out;
-  std::vector<std::uint32_t> msgs_count;
+  std::vector<std::uint32_t> msgs_groups;
+  std::vector<std::size_t> group_at;
+  std::vector<std::uint32_t> group_entries;
   ByteWriter stats_out;
   ByteWriter state_out;
 
@@ -250,7 +253,7 @@ struct WorkerCore {
   }
 
   /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
-  /// the slot for next round's delivery and appends the payload words to
+  /// each slot for next round's delivery and appends its payload words to
   /// the SENDER shard's flat buffer (offsets are recomputed locally -- the
   /// sender's offsets are meaningless in this process's buffers). In a
   /// sleeping phase it also stamps the receiver's mail, found in O(1) as
@@ -261,35 +264,41 @@ struct WorkerCore {
     ByteReader r{payload, 0, "messages frame"};
     const auto dest = static_cast<int>(r.u32());
     DVC_ENSURE(dest == worker, "messages frame routed to the wrong worker");
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n_groups = r.u32();
     auto& arena = RuntimeAccess::out_arena(*rt);
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
     const bool sleeps = RuntimeAccess::phase_sleeps(*rt);
     const Graph& g = rt->graph();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::int64_t slot = r.i64();
+    for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
       const auto sender_shard = static_cast<std::size_t>(r.u32());
-      const std::uint32_t len = r.u32();
-      DVC_ENSURE(slot >= slice.slot_lo && slot < slice.slot_hi,
-                 "relayed message slot outside this worker's range");
       DVC_ENSURE(sender_shard <
                      static_cast<std::size_t>(RuntimeAccess::num_shards(*rt)),
                  "relayed message names an unknown sender shard");
       auto& words = arena.words[sender_shard];
-      DVC_ENSURE(words.size() + len <= 0xffffffffu,
-                 "a shard's per-round payload exceeds the 32-bit arena "
-                 "offsets");
-      const auto s = static_cast<std::size_t>(slot);
-      const std::size_t at = words.size();
-      arena.epoch[s] = stamp;
-      arena.off[s] = static_cast<std::uint32_t>(at);
-      arena.len[s] = static_cast<std::uint32_t>(len);
-      if (sleeps) {
-        arena.mail[static_cast<std::size_t>(
-            g.slot_target(g.mirror_slot(slot)))] = stamp;
+      const std::uint32_t n = r.u32();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::int64_t slot = r.u32();
+        const std::uint64_t len = r.uvarint();
+        DVC_ENSURE(slot >= slice.slot_lo && slot < slice.slot_hi,
+                   "relayed message slot outside this worker's range");
+        // Every word takes at least one byte: a length the payload cannot
+        // hold is corruption, caught before the resize below allocates it.
+        r.need(len);
+        DVC_ENSURE(words.size() + len <= 0xffffffffu,
+                   "a shard's per-round payload exceeds the 32-bit arena "
+                   "offsets");
+        const auto s = static_cast<std::size_t>(slot);
+        const std::size_t at = words.size();
+        arena.epoch[s] = stamp;
+        arena.off[s] = static_cast<std::uint32_t>(at);
+        arena.len[s] = static_cast<std::uint32_t>(len);
+        if (sleeps) {
+          arena.mail[static_cast<std::size_t>(
+              g.slot_target(g.mirror_slot(slot)))] = stamp;
+        }
+        words.resize(at + len);
+        r.svarints(std::span<std::int64_t>(words).subspan(at));
       }
-      words.resize(at + len);
-      r.i64s(std::span<std::int64_t>(words).subspan(at));
     }
     DVC_ENSURE(r.pos == payload.size(),
                "messages frame has trailing bytes past its entries");
@@ -328,39 +337,57 @@ struct WorkerCore {
 
     const int phase = h.phase;
     const int round = h.round;
-    // Cross-worker messages, grouped by destination worker. Entry layout:
-    //   u32 dest_worker, u32 n_entries,
-    //   n x { i64 slot, u32 sender_shard, u32 len, len x i64 words }
+    // Cross-worker messages: one kMsgs frame per destination worker, its
+    // entries grouped by sender shard (each shard's captured slots form one
+    // group per destination). Payload layout:
+    //   u32 dest_worker, u32 n_groups,
+    //   n_groups x { u32 sender_shard, u32 n_entries,
+    //                n_entries x { u32 slot, uvarint len,
+    //                              len x svarint words } }
     const auto workers = worker_slot_lo.size() - 1;
     msgs_out.resize(workers);
-    msgs_count.assign(workers, 0);
+    msgs_groups.assign(workers, 0);
+    group_at.resize(workers);
     auto& arena = RuntimeAccess::out_arena(*rt);
     for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
       auto& captured = RuntimeAccess::captured(*rt, s);
       const auto& words = arena.words[static_cast<std::size_t>(s)];
+      group_entries.assign(workers, 0);
       for (const std::int64_t slot : captured) {
         const auto dest = static_cast<std::size_t>(dest_worker_of(slot));
         ByteWriter& w = msgs_out[dest];
-        if (msgs_count[dest]++ == 0) {
-          wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kMsgs),
-                            phase, round);
-          w.u32(static_cast<std::uint32_t>(dest));
-          w.u32(0);  // entry count, patched below
+        if (group_entries[dest]++ == 0) {
+          if (msgs_groups[dest]++ == 0) {
+            wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kMsgs),
+                              phase, round);
+            w.u32(static_cast<std::uint32_t>(dest));
+            w.u32(0);  // group count, patched below
+          }
+          w.u32(static_cast<std::uint32_t>(s));
+          group_at[dest] = w.buf.size();
+          w.u32(0);  // entry count, patched after this shard
         }
         const auto si = static_cast<std::size_t>(slot);
         const std::uint32_t len = arena.len[si];
-        w.i64(slot);
-        w.u32(static_cast<std::uint32_t>(s));
-        w.u32(len);
-        w.i64s(
-            std::span<const std::int64_t>(words).subspan(arena.off[si], len));
+        std::uint8_t* p =
+            w.grow(4 + wire::kMaxVarintBytes * (1 + std::size_t{len}));
+        p = wire::put_u32(p, static_cast<std::uint32_t>(slot));
+        p = wire::put_uvarint(p, len);
+        w.trim(wire::put_svarints(
+            p, std::span<const std::int64_t>(words).subspan(arena.off[si],
+                                                            len)));
+      }
+      for (std::size_t d = 0; d < workers; ++d) {
+        if (group_entries[d] > 0) {
+          msgs_out[d].patch_u32(group_at[d], group_entries[d]);
+        }
       }
       captured.clear();
     }
     for (std::size_t d = 0; d < workers; ++d) {
-      if (msgs_count[d] == 0) continue;
+      if (msgs_groups[d] == 0) continue;
       ByteWriter& w = msgs_out[d];
-      w.patch_u32(wire::kFrameHeaderBytes + 4, msgs_count[d]);
+      w.patch_u32(wire::kFrameHeaderBytes + 4, msgs_groups[d]);
       wire::end_frame(w);
       emit(std::span<const std::uint8_t>(w.buf));
     }

@@ -202,36 +202,92 @@ TEST(Wire, ReaderBoundsChecksEveryRead) {
   EXPECT_THROW((void)r2.str(), corruption_error);  // length prefix missing
 }
 
-TEST(Wire, BulkWordsRoundTripAndTruncatedBulkReadIsCorruption) {
-  const std::vector<std::int64_t> words = {0, -1, 42, INT64_MIN, INT64_MAX,
-                                           0x0102030405060708LL};
-  wire::ByteWriter w;
-  w.u8(7);  // misalign the words inside the buffer
-  w.i64s(words);
-  w.i64s({});
-  ASSERT_EQ(w.buf.size(), 1 + 8 * words.size());
-  // The bulk writer emits exactly the bytes of the word-at-a-time one.
+TEST(Wire, ZigzagVarintsRoundTripAtEveryWidthBoundary) {
+  struct Case {
+    std::int64_t word;
+    std::size_t bytes;
+  };
+  // Zigzag puts magnitudes below 64 of either sign in one byte; -64 maps to
+  // 127 (one byte) and 64 to 128 (two); the extremes take all ten.
+  const std::vector<Case> cases = {{0, 1},   {1, 1},         {-1, 1},
+                                   {63, 1},  {-63, 1},       {64, 2},
+                                   {-64, 1}, {-65, 2},       {INT64_MIN, 10},
+                                   {INT64_MAX, 10}};
+  std::vector<std::int64_t> words;
+  std::size_t total = 0;
+  for (const Case& c : cases) {
+    wire::ByteWriter w;
+    w.svarint(c.word);
+    EXPECT_EQ(w.buf.size(), c.bytes) << c.word;
+    wire::ByteReader r{w.buf, 0, "varint"};
+    EXPECT_EQ(r.svarint(), c.word);
+    EXPECT_EQ(r.pos, w.buf.size());
+    words.push_back(c.word);
+    total += c.bytes;
+  }
+  // The bulk writer emits exactly the bytes of the word-at-a-time one, and
+  // the bulk reader reads them back.
+  wire::ByteWriter bulk;
+  bulk.u8(7);
+  bulk.svarints(words);
+  bulk.svarints({});
   wire::ByteWriter one_by_one;
   one_by_one.u8(7);
-  for (const std::int64_t x : words) one_by_one.i64(x);
-  EXPECT_EQ(w.buf, one_by_one.buf);
-  // Little-endian on the wire: the last word's bytes run 08 07 ... 01.
-  const std::vector<std::uint8_t> tail(w.buf.end() - 8, w.buf.end());
-  EXPECT_EQ(tail, (std::vector<std::uint8_t>{8, 7, 6, 5, 4, 3, 2, 1}));
-
-  wire::ByteReader r{w.buf, 0, "bulk buffer"};
+  for (const std::int64_t x : words) one_by_one.svarint(x);
+  EXPECT_EQ(bulk.buf, one_by_one.buf);
+  ASSERT_EQ(bulk.buf.size(), 1 + total);
+  wire::ByteReader r{bulk.buf, 0, "bulk varints"};
   EXPECT_EQ(r.u8(), 7);
   std::vector<std::int64_t> back(words.size());
-  r.i64s(back);
+  r.svarints(back);
   EXPECT_EQ(back, words);
-  EXPECT_EQ(r.pos, w.buf.size());
-  r.i64s({});  // an empty read at the end is in bounds
+  EXPECT_EQ(r.pos, bulk.buf.size());
+  r.svarints({});  // an empty read at the end is in bounds
+  // The unsigned form: LEB128, low group first.
+  wire::ByteWriter u;
+  u.uvarint(300);
+  EXPECT_EQ(u.buf, (std::vector<std::uint8_t>{0xac, 0x02}));
+  u.buf.clear();
+  u.uvarint(UINT64_MAX);
+  wire::ByteReader ur{u.buf, 0, "uvarint"};
+  EXPECT_EQ(ur.uvarint(), UINT64_MAX);
+}
 
-  // One word more than the buffer holds: rejected, and nothing consumed.
-  wire::ByteReader cut{w.buf, 1, "bulk buffer"};
-  std::vector<std::int64_t> too_many(words.size() + 1);
-  EXPECT_THROW(cut.i64s(too_many), corruption_error);
+TEST(Wire, MalformedVarintsAreCorruption) {
+  const auto expect_corrupt = [](const std::vector<std::uint8_t>& bytes,
+                                 const char* what) {
+    wire::ByteReader r{bytes, 0, "varint"};
+    EXPECT_THROW((void)r.uvarint(), corruption_error) << what;
+    wire::ByteReader s{bytes, 0, "varint"};
+    EXPECT_THROW((void)s.svarint(), corruption_error) << what;
+  };
+  expect_corrupt({}, "empty buffer");
+  expect_corrupt({0x80}, "continuation bit on the last byte");
+  expect_corrupt({0xff, 0xff, 0xff}, "truncated three-byte varint");
+  // 11 bytes: ten continuation bytes, then a terminator.
+  std::vector<std::uint8_t> overlong(10, 0x80);
+  overlong.push_back(0x00);
+  expect_corrupt(overlong, "11-byte overlong varint");
+  // A 10th byte above 1 would set bits past the 64th.
+  std::vector<std::uint8_t> wide(9, 0xff);
+  wide.push_back(0x02);
+  expect_corrupt(wide, "10th byte greater than 1");
+  // ... while a 10th byte of 1 is the 64th bit, and valid.
+  wide.back() = 0x01;
+  wire::ByteReader ok{wide, 0, "varint"};
+  EXPECT_EQ(ok.uvarint(), UINT64_MAX);
+
+  // More words than the buffer has bytes: rejected, and nothing consumed.
+  const std::vector<std::uint8_t> three = {1, 2, 3};
+  wire::ByteReader cut{three, 1, "bulk varints"};
+  std::vector<std::int64_t> too_many(3);
+  EXPECT_THROW(cut.svarints(too_many), corruption_error);
   EXPECT_EQ(cut.pos, 1u);
+  // Enough bytes for the count, but the last varint runs off the end.
+  const std::vector<std::uint8_t> ragged = {1, 2, 0x80};
+  wire::ByteReader rr{ragged, 0, "bulk varints"};
+  std::vector<std::int64_t> out(3);
+  EXPECT_THROW(rr.svarints(out), corruption_error);
 }
 
 TEST(Wire, ChecksumMatchesCheckpointIdiom) {
@@ -394,17 +450,32 @@ TEST(DistIdentity, DeclaredCongestWordsMatchRunStatsTotals) {
       color_graph(rt, 3, Preset::LinearColors, knobs);
   // Per-phase declared words/messages are the phase's RunStats totals: the
   // CONGEST cost the paper reasons about, reported NEXT TO measured bytes.
+  // The measured bytes and frames are pinned exactly for this graph, so any
+  // change to the wire format shows here as a deliberate edit.
+  struct Pinned {
+    const char* label;
+    std::uint64_t wire_bytes;
+    std::uint64_t frames;
+  };
+  const std::vector<Pinned> pinned = {{"h-partition", 8468, 32},
+                                      {"linial", 1314, 8},
+                                      {"kw-reduce", 36056, 270},
+                                      {"final-orient", 7072, 16},
+                                      {"greedy-by-orientation", 18364, 84}};
   std::uint64_t declared_words = 0;
   std::uint64_t declared_messages = 0;
+  std::size_t seen = 0;
   for (const PhaseWireMetrics& m : session.metrics()) {
     if (!m.distributed) continue;
     declared_words += m.declared_words;
     declared_messages += m.declared_messages;
-    EXPECT_GE(m.wire_bytes,
-              m.declared_words * sizeof(std::int64_t))
-        << "phase '" << m.label
-        << "': every declared word crosses the wire as >= 8 bytes";
+    ASSERT_LT(seen, pinned.size()) << "unpinned phase '" << m.label << "'";
+    const Pinned& want = pinned[seen++];
+    EXPECT_EQ(m.label, want.label);
+    EXPECT_EQ(m.wire_bytes, want.wire_bytes) << "phase '" << m.label << "'";
+    EXPECT_EQ(m.frames, want.frames) << "phase '" << m.label << "'";
   }
+  EXPECT_EQ(seen, pinned.size());
   EXPECT_LE(declared_words, got.total.words);
   EXPECT_LE(declared_messages, got.total.messages);
   EXPECT_GT(declared_words, 0u);
@@ -472,6 +543,112 @@ TEST(DistIdentity, ProgramsOutsideThePresetsShipTheirVertexState) {
       expect_distributed(session, "mis-color-sweep");
     }
     expect_no_zombie_children();
+  }
+}
+
+/// A LOCAL-model program (no declared width) whose every message is wide
+/// enough to need a two-byte length and whose words take every varint
+/// width from one byte to ten: negatives, INT64_MIN, INT64_MAX and the
+/// receiver's running digest. Each vertex folds every word it hears into
+/// its digest, so a word damaged anywhere on the wire changes an output.
+class WideWords : public sim::VertexProgram {
+ public:
+  WideWords(V n, int rounds)
+      : digest_(static_cast<std::size_t>(n), 0), rounds_(rounds) {}
+  std::string name() const override { return "wide-words"; }
+  bool dist_capable() const override { return true; }
+  void begin(sim::Ctx& ctx) override { speak(ctx); }
+  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
+    std::uint64_t& h = digest_[static_cast<std::size_t>(ctx.vertex())];
+    for (const sim::MsgView& m : inbox) {
+      h = dvc::detail::digest_mix(h, static_cast<std::uint64_t>(m.port));
+      for (const std::int64_t w : m.data) {
+        h = dvc::detail::digest_mix(h, static_cast<std::uint64_t>(w));
+      }
+    }
+    if (ctx.round() >= rounds_) {
+      ctx.halt();
+      return;
+    }
+    speak(ctx);
+  }
+  void save_vertex_state(V v, wire::ByteWriter& w) const override {
+    w.u64(digest_[static_cast<std::size_t>(v)]);
+  }
+  void load_vertex_state(V v, wire::ByteReader& r) override {
+    digest_[static_cast<std::size_t>(v)] = r.u64();
+  }
+  const std::vector<std::uint64_t>& digests() const { return digest_; }
+
+ private:
+  void speak(sim::Ctx& ctx) {
+    const std::int64_t v = ctx.vertex();
+    const std::int64_t h = static_cast<std::int64_t>(
+        digest_[static_cast<std::size_t>(v)]);
+    std::vector<std::int64_t>& words = ctx.scratch();
+    words.clear();
+    words.push_back(INT64_MIN);
+    words.push_back(INT64_MAX);
+    const std::int64_t width = 128 + (v + ctx.round()) % 5;
+    for (std::int64_t i = 2; i < width; ++i) {
+      const auto u = static_cast<std::uint64_t>(i);
+      switch (i % 4) {
+        case 0:
+          words.push_back(-i);
+          break;
+        case 1:  // up to 63 significant bits, so it may wrap negative
+          words.push_back(static_cast<std::int64_t>(u << (i % 57)));
+          break;
+        case 2:
+          words.push_back(-(v + 1) * static_cast<std::int64_t>(u << (i % 41)));
+          break;
+        default:
+          words.push_back(h ^ i);
+          break;
+      }
+    }
+    ctx.broadcast(words);
+  }
+
+  std::vector<std::uint64_t> digest_;
+  int rounds_;
+};
+
+TEST(DistIdentity, WideLocalPayloadsCrossBothBackendsIntact) {
+  // Under the LOCAL model (no word budget) payloads of 128+ words take the
+  // multi-byte length and every varint width across processes. Every
+  // backend and worker count must reproduce the in-process run, and fork and
+  // loopback must put identical bytes on the wire.
+  const Graph g = planted_arboricity(90, 3, 29);
+  const int rounds = 4;
+  sim::Runtime solo(g, 3, /*inline_shards=*/true);
+  ASSERT_EQ(solo.congest_words(), 0);
+  WideWords want_program(g.num_vertices(), rounds);
+  const sim::RunStats want = solo.run_phase(want_program, 16);
+  ASSERT_GE(want.max_msg_words, 128u);
+
+  for (const int workers : {2, 3}) {
+    std::vector<PhaseWireMetrics> per_backend;
+    for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+      SCOPED_TRACE(std::string(dist::backend_name(backend)) +
+                   " workers=" + std::to_string(workers));
+      sim::Runtime rt(g, 3, /*inline_shards=*/true);
+      DistConfig cfg;
+      cfg.workers = workers;
+      cfg.backend = backend;
+      DistSession session(rt, cfg);
+      WideWords program(g.num_vertices(), rounds);
+      const sim::RunStats got = rt.run_phase(program, 16);
+      EXPECT_TRUE(got == want);
+      EXPECT_EQ(program.digests(), want_program.digests());
+      ASSERT_EQ(session.metrics().size(), 1u);
+      EXPECT_TRUE(session.metrics()[0].distributed);
+      per_backend.push_back(session.metrics()[0]);
+      expect_no_zombie_children();
+    }
+    EXPECT_EQ(per_backend[0].wire_bytes, per_backend[1].wire_bytes)
+        << "fork and loopback must encode identical wire traffic";
+    EXPECT_EQ(per_backend[0].frames, per_backend[1].frames);
   }
 }
 
