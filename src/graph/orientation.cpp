@@ -1,7 +1,7 @@
 #include "graph/orientation.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -81,23 +81,23 @@ std::int64_t Orientation::num_oriented_edges() const {
   return oriented;
 }
 
-std::vector<V> Orientation::topological_order_parents_first() const {
+template <typename Visit>
+V Orientation::kahn_parents_first(Visit&& visit) const {
   // Kahn's algorithm on the reversed arrows: a vertex is ready when all its
   // parents (out-neighbors) are already placed. Equivalently, process
-  // vertices whose remaining out-degree is zero.
+  // vertices whose remaining out-degree is zero. `ready` is a flat FIFO:
+  // every vertex enters it at most once, so a head index replaces popping.
   const V n = g_->num_vertices();
   std::vector<int> remaining(static_cast<std::size_t>(n));
-  std::deque<V> ready;
+  std::vector<V> ready;
+  ready.reserve(static_cast<std::size_t>(n));
   for (V v = 0; v < n; ++v) {
     remaining[static_cast<std::size_t>(v)] = out_degree(v);
     if (remaining[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
   }
-  std::vector<V> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const V u = ready.front();
-    ready.pop_front();
-    order.push_back(u);
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const V u = ready[head];
+    visit(u);
     // Every child of u (in-neighbor) loses one pending parent.
     const int deg = g_->degree(u);
     for (int p = 0; p < deg; ++p) {
@@ -106,38 +106,26 @@ std::vector<V> Orientation::topological_order_parents_first() const {
       if (--remaining[static_cast<std::size_t>(child)] == 0) ready.push_back(child);
     }
   }
-  DVC_ENSURE(static_cast<V>(order.size()) == n,
-             "orientation has a directed cycle");
+  return static_cast<V>(ready.size());
+}
+
+std::vector<V> Orientation::topological_order_parents_first() const {
+  std::vector<V> order;
+  order.reserve(static_cast<std::size_t>(g_->num_vertices()));
+  const V placed = kahn_parents_first([&](V u) { order.push_back(u); });
+  DVC_ENSURE(placed == g_->num_vertices(), "orientation has a directed cycle");
   return order;
 }
 
 bool Orientation::is_acyclic() const {
-  const V n = g_->num_vertices();
-  std::vector<int> remaining(static_cast<std::size_t>(n));
-  std::deque<V> ready;
-  for (V v = 0; v < n; ++v) {
-    remaining[static_cast<std::size_t>(v)] = out_degree(v);
-    if (remaining[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-  }
-  V placed = 0;
-  while (!ready.empty()) {
-    const V u = ready.front();
-    ready.pop_front();
-    ++placed;
-    const int deg = g_->degree(u);
-    for (int p = 0; p < deg; ++p) {
-      if (!is_in(u, p)) continue;
-      const V child = g_->neighbor(u, p);
-      if (--remaining[static_cast<std::size_t>(child)] == 0) ready.push_back(child);
-    }
-  }
-  return placed == n;
+  return kahn_parents_first([](V) {}) == g_->num_vertices();
 }
 
 std::vector<int> Orientation::lengths() const {
-  const std::vector<V> order = topological_order_parents_first();
+  // One pass: a vertex is visited only after all of its parents, so its
+  // length is final the moment it leaves the queue.
   std::vector<int> len(static_cast<std::size_t>(g_->num_vertices()), 0);
-  for (const V v : order) {
+  const V placed = kahn_parents_first([&](V v) {
     const int deg = g_->degree(v);
     int best = 0;
     for (int p = 0; p < deg; ++p) {
@@ -145,7 +133,8 @@ std::vector<int> Orientation::lengths() const {
       best = std::max(best, 1 + len[static_cast<std::size_t>(g_->neighbor(v, p))]);
     }
     len[static_cast<std::size_t>(v)] = best;
-  }
+  });
+  DVC_ENSURE(placed == g_->num_vertices(), "orientation has a directed cycle");
   return len;
 }
 

@@ -92,6 +92,12 @@ class Orientation {
   void complete_acyclic();
 
  private:
+  /// Kahn's algorithm, parents first: calls visit(v) for every vertex that
+  /// can be placed, in FIFO order, and returns how many were (n iff the
+  /// oriented part is acyclic).
+  template <typename Visit>
+  V kahn_parents_first(Visit&& visit) const;
+
   const Graph* g_;
   std::vector<std::int8_t> dir_;  // indexed by slot
 };

@@ -79,6 +79,9 @@ struct ProgramScope {
   ProgramScope& operator=(const ProgramScope&) = delete;
 };
 
+constexpr const char* kOneMessagePerEdge =
+    "at most one message per edge-direction per round (LOCAL model)";
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -412,8 +415,12 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
     arena.len = std::make_unique_for_overwrite<std::uint32_t[]>(slots);
     arena.mail =
         std::make_unique_for_overwrite<std::int32_t[]>(static_cast<std::size_t>(n));
+    arena.cell =
+        std::make_unique_for_overwrite<Cell[]>(static_cast<std::size_t>(n));
     arena.words.resize(static_cast<std::size_t>(num_shards_));
   }
+  unicast_ =
+      std::make_unique_for_overwrite<std::int32_t[]>(static_cast<std::size_t>(n));
   halted_.assign(static_cast<std::size_t>(n), 0);
   wake_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
@@ -524,42 +531,60 @@ void Runtime::send_ports(int shard, V from, int first, int count,
   words.insert(words.end(), payload.begin(), payload.end());
 
   const std::int32_t stamp = stamp_base_ + round_;
-  const std::int64_t row = g_->slot(from, 0);
+  const auto fi = static_cast<std::size_t>(from);
+  Cell& mine = out.cell[fi];
+  DVC_ENSURE(mine.stamp != stamp, kOneMessagePerEdge);
+  // A whole-row send writes only the sender's broadcast cell -- except in
+  // a fault-armed phase, where every message keeps its own per-edge cell so
+  // a drop or a corruption hits exactly one of them.
+  const bool per_edge =
+      fault_armed_ || first != 0 || count != g_->degree(from);
+  if (per_edge) {
+    unicast_[fi] = stamp;
+    sh.wrote_edges = true;
+  } else {
+    DVC_ENSURE(unicast_[fi] != stamp, kOneMessagePerEdge);
+    mine = Cell{stamp, off, static_cast<std::uint32_t>(len)};
+  }
   // Sleeping phases only: stamp each receiver so a sleeper wakes. Receivers
   // may live on other shards, hence the relaxed atomic store (every writer
   // of a cell this round stores the same stamp; the next round reads it
   // after the barrier).
   std::int32_t* const mail = phase_sleeps_ ? out.mail.get() : nullptr;
   const bool capture = dist_capture_;
-  // Checksum lane: fold what was ACTUALLY sent, before any injector can
-  // touch the arena. XOR-combined across slots and shards, so the totals
-  // are delivery-order and shard-count invariant.
-  const bool lane = fault_armed_ && fault_plan_.checksum;
-  const std::uint64_t lane_fold = lane ? lane_payload_fold(payload) : 0;
-  for (int port = first; port < first + count; ++port) {
-    const std::int64_t s = g_->mirror_slot(row + port);
-    const auto si = static_cast<std::size_t>(s);
-    DVC_ENSURE(out.epoch[si] != stamp,
-               "at most one message per edge-direction per round (LOCAL "
-               "model)");
-    out.epoch[si] = stamp;
-    out.off[si] = off;
-    out.len[si] = static_cast<std::uint32_t>(len);
-    if (mail) {
-      std::atomic_ref<std::int32_t>(
-          mail[static_cast<std::size_t>(g_->slot_target(row + port))])
-          .store(stamp, std::memory_order_relaxed);
-    }
-    // Distributed sweep: remember every slot written outside this worker's
-    // own range -- those messages must cross the wire to their owner.
-    if (capture && (s < dist_slot_lo_ || s >= dist_slot_hi_)) {
-      dist_captured_[sid].push_back(s);
-    }
-    if (lane) {
-      sh.lane_count += 1;
-      sh.lane_xor_slots ^=
-          detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
-      sh.lane_xor_words ^= lane_slot_hash(s, lane_fold);
+  // The port loop runs only for per-edge cells and per-receiver work.
+  if (per_edge || mail || capture) {
+    const std::int64_t row = g_->slot(from, 0);
+    // Checksum lane: fold what was ACTUALLY sent, before any injector can
+    // touch the arena. XOR-combined across slots and shards, so the totals
+    // are delivery-order and shard-count invariant.
+    const bool lane = fault_armed_ && fault_plan_.checksum;
+    const std::uint64_t lane_fold = lane ? lane_payload_fold(payload) : 0;
+    for (int port = first; port < first + count; ++port) {
+      const std::int64_t s = g_->mirror_slot(row + port);
+      const auto si = static_cast<std::size_t>(s);
+      // Distributed sweep: every slot outside this worker's own range must
+      // cross the wire to its owner, so it gets a per-edge cell (a broadcast
+      // cell stays in this process) and is remembered for the relay.
+      const bool remote = capture && (s < dist_slot_lo_ || s >= dist_slot_hi_);
+      if (per_edge || remote) {
+        DVC_ENSURE(out.epoch[si] != stamp, kOneMessagePerEdge);
+        out.epoch[si] = stamp;
+        out.off[si] = off;
+        out.len[si] = static_cast<std::uint32_t>(len);
+      }
+      if (mail) {
+        std::atomic_ref<std::int32_t>(
+            mail[static_cast<std::size_t>(g_->slot_target(row + port))])
+            .store(stamp, std::memory_order_relaxed);
+      }
+      if (remote) dist_captured_[sid].push_back(s);
+      if (lane) {
+        sh.lane_count += 1;
+        sh.lane_xor_slots ^=
+            detail::digest_mix(kLaneSeed, static_cast<std::uint64_t>(s));
+        sh.lane_xor_words ^= lane_slot_hash(s, lane_fold);
+      }
     }
   }
   sh.messages += static_cast<std::uint64_t>(count);
@@ -611,6 +636,13 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
   const std::vector<std::int64_t>* sole_words =
       num_shards_ == 1 ? in.words.data() : nullptr;
   Inbox& inbox = sh.inbox;
+  // A message is in the receiver's per-edge cell only if the sweep that
+  // wrote this arena stamped some (a dist worker's relayed mail always
+  // does); otherwise, and when that cell is stale, it is in the sender's
+  // broadcast cell.
+  const std::int32_t* const epoch =
+      edge_mail_ || dist_capture_ ? in.epoch.get() : nullptr;
+  const Cell* const cell = in.cell.get();
   // Sleeping phases: a live vertex that is asleep (its named round not yet
   // here) with no mail stamped for this round is skipped. Its step() would
   // see an empty inbox and, by the sleep contract, do nothing -- so it
@@ -633,18 +665,26 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
       wake = 0;  // a sleep lasts until the vertex's next step
     }
     inbox.msgs_.clear();
-    const int deg = g_->degree(v);
+    const std::span<const V> nbrs = g_->neighbors(v);
     const std::int64_t base = g_->slot(v, 0);
-    for (int p = 0; p < deg; ++p) {
+    for (int p = 0; p < static_cast<int>(nbrs.size()); ++p) {
+      const V u = nbrs[static_cast<std::size_t>(p)];
       const auto s = static_cast<std::size_t>(base + p);
-      if (in.epoch[s] != want) continue;
+      std::uint32_t off, len;
+      if (epoch && epoch[s] == want) {
+        off = in.off[s];
+        len = in.len[s];
+      } else {
+        const Cell& c = cell[static_cast<std::size_t>(u)];
+        if (c.stamp != want) continue;
+        off = c.off;
+        len = c.len;
+      }
       const auto& words =
           sole_words ? *sole_words
-                     : in.words[static_cast<std::size_t>(
-                           shard_of(g_->neighbor(v, p)))];
+                     : in.words[static_cast<std::size_t>(shard_of(u))];
       inbox.msgs_.push_back(
-          MsgView{p, std::span<const std::int64_t>(words.data() + in.off[s],
-                                                   in.len[s])});
+          MsgView{p, std::span<const std::int64_t>(words.data() + off, len)});
     }
     sh.work_items += 1 + inbox.msgs_.size();
     {
@@ -659,7 +699,10 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
 
 void Runtime::merge_shards() {
   // Canonical shard order keeps the fold deterministic for any shard count.
+  edge_mail_ = false;
   for (Shard& sh : shards_) {
+    edge_mail_ = edge_mail_ || sh.wrote_edges;
+    sh.wrote_edges = false;
     stats_.messages += sh.messages;
     stats_.words += sh.words;
     stats_.work_items += sh.work_items;
@@ -693,7 +736,11 @@ void Runtime::init_shard(int shard) {
               std::uint32_t{0});
     std::fill(arena.mail.get() + sh.first, arena.mail.get() + sh.last,
               std::int32_t{-1});
+    std::fill(arena.cell.get() + sh.first, arena.cell.get() + sh.last,
+              Cell{-1, 0, 0});
   }
+  std::fill(unicast_.get() + sh.first, unicast_.get() + sh.last,
+            std::int32_t{-1});
 }
 
 void Runtime::dispatch(Job job) {
@@ -776,7 +823,9 @@ const RunStats& Runtime::run_phase_body(VertexProgram& program, int max_rounds,
     for (Arena& arena : arenas_) {
       std::fill_n(arena.epoch.get(), static_cast<std::size_t>(slots_), -1);
       std::fill_n(arena.mail.get(), static_cast<std::size_t>(n), -1);
+      std::fill_n(arena.cell.get(), static_cast<std::size_t>(n), Cell{-1, 0, 0});
     }
+    std::fill_n(unicast_.get(), static_cast<std::size_t>(n), -1);
     stamp_base_ = 0;
   }
   // On every exit -- including a round-cap throw mid-phase -- advance the
@@ -1219,12 +1268,13 @@ Runtime::MemoryBreakdown Runtime::memory_breakdown() const {
       mb.payload_bytes += w.capacity() * sizeof(std::int64_t);
     }
   }
-  // Per-vertex: halted flags, wake rounds, and both arenas' mail stamps
-  // (raw arrays of n: exact).
+  // Per-vertex: halted flags, wake rounds, unicast stamps, and both
+  // arenas' mail stamps and broadcast cells (raw arrays of n: exact).
+  const auto n = static_cast<std::uint64_t>(g_->num_vertices());
   mb.vertex_bytes += halted_.capacity() +
                      wake_.capacity() * sizeof(std::int32_t) +
-                     2 * static_cast<std::uint64_t>(g_->num_vertices()) *
-                         sizeof(std::int32_t);
+                     n * sizeof(std::int32_t) +
+                     2 * n * (sizeof(std::int32_t) + sizeof(Cell));
   for (const Shard& sh : shards_) {
     mb.index_bytes += sh.live.capacity() * sizeof(V);
     for (const auto& s : sh.scratch) {

@@ -28,11 +28,13 @@
 // named spans that replaces the hand-maintained `phases` bookkeeping the
 // algorithm drivers used to carry.
 //
-// Mailbox architecture (unchanged from the engine rewrite): messages are
-// slot-routed through a double-buffered arena. A send on (v, port) lands
-// directly in the mirror slot's inbox cell via the Graph's O(1) mirror map;
-// payload words are appended to a flat per-shard word buffer. There is no
-// per-message heap allocation and no per-round sorting of the arena itself.
+// Mailbox architecture (see DESIGN.md, "Mailbox runtime"): messages go
+// through a double-buffered arena. A broadcast writes one cell, the
+// sender's own; the receiver's port scan finds it through the neighbor
+// list. A send on one port lands directly in the mirror slot's inbox cell
+// via the Graph's O(1) mirror map. Payload words are appended to a flat
+// per-shard word buffer. There is no per-message heap allocation and no
+// per-round sorting of the arena itself.
 // A vertex may send at most one message per incident edge per round (the
 // standard LOCAL convention; violating it throws invariant_error).
 //
@@ -44,7 +46,7 @@
 // therefore drives each round by the live set: every shard keeps a
 // compacted, canonically ordered live-vertex list (maintained incrementally
 // as vertices halt, not re-derived by an O(n) flag sweep), and a live
-// vertex's inbox is the epoch-fresh cells among its own ports. Per-round
+// vertex's inbox is the fresh cells among its own ports. Per-round
 // cost is O(live + sum_{awake} deg) instead of O(n + 2m): a live vertex is
 // *awake* unless its program declared it asleep (Ctx::sleep_until, in
 // phases whose program declares VertexProgram::sleeps()) and neither mail
@@ -57,8 +59,9 @@
 // Sharded execution: the vertex set is split into `shards` fixed contiguous
 // blocks; each round, shards step their vertices concurrently and write
 // into per-shard arenas that are merged in canonical slot order (implicitly:
-// every inbox cell has a unique writer, so the merge is free). RunStats and
-// all program outputs are bit-identical for every shard count.
+// every cell has a unique writer -- the sending vertex's shard -- so the
+// merge is free). RunStats and all program outputs are bit-identical for
+// every shard count.
 //
 // CONGEST accounting (see DESIGN.md, "CONGEST accounting"): the paper's
 // algorithms run with O(log n)-bit messages, so beyond counting rounds the
@@ -406,11 +409,12 @@ class Ctx {
   void send(int port, std::initializer_list<std::int64_t> payload) {
     send(port, std::span<const std::int64_t>(payload.begin(), payload.size()));
   }
-  /// Sends `payload` on every port. The words are copied once and all of
-  /// the vertex's mirror slots point at that one copy; the result (inboxes,
-  /// RunStats, errors) equals send(p, payload) for p = 0..degree()-1 in
-  /// ascending order. A bandwidth violation names port 0; a port already
-  /// used this round throws invariant_error; degree 0 sends nothing.
+  /// Sends `payload` on every port. The words are copied once and the
+  /// vertex's one broadcast cell points at them (see Runtime::Arena); the
+  /// result (inboxes, RunStats, errors) equals send(p, payload) for
+  /// p = 0..degree()-1 in ascending order. A bandwidth violation names
+  /// port 0; a port already used this round throws invariant_error; degree
+  /// 0 sends nothing.
   void broadcast(std::span<const std::int64_t> payload);
   void broadcast(std::initializer_list<std::int64_t> payload) {
     broadcast(std::span<const std::int64_t>(payload.begin(), payload.size()));
@@ -702,7 +706,7 @@ class Runtime {
     std::uint64_t arena_bytes = 0;    ///< epoch/off/len, both arenas (exact)
     std::uint64_t payload_bytes = 0;  ///< message words, both arenas
     std::uint64_t index_bytes = 0;    ///< live lists, scratch, inboxes
-    std::uint64_t vertex_bytes = 0;   ///< halted, wake rounds, mail stamps
+    std::uint64_t vertex_bytes = 0;   ///< halted, wake, mail, cells, unicast
     std::uint64_t total() const {
       return arena_bytes + payload_bytes + index_bytes + vertex_bytes;
     }
@@ -734,19 +738,35 @@ class Runtime {
   /// the allocating main thread does not fault the pages in first.)
   enum class Job { kInit, kBegin, kStep };
 
-  /// One direction of the double buffer. Slot s (a directed edge endpoint)
-  /// holds at most one message per round; `epoch[s]` stamps the *session
-  /// round* (stamp_base_ + round_) that last wrote it, so stale cells are
-  /// skipped without any per-round clear -- and, because stamps increase
-  /// monotonically across phases, without any per-PHASE clear either: a
-  /// warm phase start is O(n), not O(slots). Payload words live in flat
-  /// per-shard buffers (`words[shard]`) to keep concurrent appends
-  /// race-free; `off/len` locate a slot's payload inside the sending
-  /// shard's buffer. Several slots' off/len may alias one payload: a
-  /// broadcast writes its words once for all of the sender's mirror slots.
-  /// Arena payloads are therefore immutable once written; the only writer
-  /// is the fault injector, which copies a victim's words to a fresh tail
-  /// of the buffer before it corrupts them (copy on write).
+  /// A message cell: the session round (stamp_base_ + round_) that last
+  /// wrote it, and where its payload sits in the sending shard's buffer.
+  struct Cell {
+    std::int32_t stamp;
+    std::uint32_t off;
+    std::uint32_t len;
+  };
+
+  /// One direction of the double buffer. A message reaches its receiver
+  /// through one of two kinds of cell:
+  ///   * the sender's BROADCAST cell `cell[from]`: a whole-row send outside
+  ///     a fault-armed phase writes only this one cell, and the receiver's
+  ///     port scan finds it at cell[neighbor(v, p)];
+  ///   * the receiver's PER-EDGE cell, slot s (a directed edge endpoint):
+  ///     `epoch[s]` stamps the round that last wrote it. Written by
+  ///     Ctx::send, by every send of a fault-armed phase (so a drop or a
+  ///     corruption hits exactly one message), and by a capturing dist
+  ///     sweep for the slots it ships to another worker.
+  /// Either way a cell holds at most one message per round, and stamps
+  /// increase monotonically across phases, so stale cells are skipped
+  /// without any per-round or per-PHASE clear: a warm phase start is O(n),
+  /// not O(slots). Payload words live in flat per-shard buffers
+  /// (`words[shard]`) to keep concurrent appends race-free; off/len locate
+  /// a payload inside the sending shard's buffer. Several slots' off/len
+  /// may alias one payload (a fault-armed broadcast writes its words once
+  /// for all of the sender's mirror slots), so arena payloads are
+  /// immutable once written; the only writer is the fault injector, which
+  /// copies a victim's words to a fresh tail of the buffer before it
+  /// corrupts them (copy on write).
   struct Arena {
     /// Slot-indexed arrays (12 bytes per slot): raw first-touch-initialized
     /// buffers, not vectors, so page placement follows the kInit job (see
@@ -754,6 +774,9 @@ class Runtime {
     std::unique_ptr<std::int32_t[]> epoch;
     std::unique_ptr<std::uint32_t[]> off;
     std::unique_ptr<std::uint32_t[]> len;
+    /// Vertex-indexed broadcast cells (12 bytes per vertex), written only
+    /// by the sender's own shard.
+    std::unique_ptr<Cell[]> cell;
     /// Vertex-indexed mail stamp: the session round that last wrote ANY of
     /// the vertex's inbox slots. Written only in sleeping phases (see
     /// VertexProgram::sleeps), read only to wake a sleeper; shares the
@@ -786,6 +809,9 @@ class Runtime {
     std::uint64_t lane_count = 0;
     std::uint64_t lane_xor_slots = 0;
     std::uint64_t lane_xor_words = 0;
+    /// Set when this shard's sweep wrote a per-edge cell; merge_shards folds
+    /// it into edge_mail_.
+    bool wrote_edges = false;
     /// The shard's non-halted vertices in ascending (canonical) order.
     /// Rebuilt after begin(), then compacted in place
     /// during each step sweep -- a vertex can only halt itself, so the
@@ -799,12 +825,16 @@ class Runtime {
   /// arena arrays (Job::kInit).
   void init_shard(int shard);
   /// The one send path: `payload` to ports [first, first + count) of
-  /// `from`. Port, cap and offset checks, the payload copy and the message
-  /// counters run once per call; each slot then gets its epoch stamp (the
-  /// one-send-per-edge check, in ascending port order), an off/len pointing
-  /// at the shared copy, its dist capture and its checksum lane, and in a
-  /// sleeping phase the receiver its mail stamp. Ctx::send is count 1,
-  /// Ctx::broadcast the whole row.
+  /// `from`. Ctx::send is count 1, Ctx::broadcast the whole row. Port, cap
+  /// and offset checks, the payload copy and the message counters run once
+  /// per call. A whole-row send outside a fault-armed phase then writes
+  /// only the sender's broadcast cell; any other send stamps each slot's
+  /// per-edge cell. The one-message-per-edge rule stays O(1) per call: a
+  /// broadcast checks the sender's cell and unicast stamp, a per-port send
+  /// the sender's cell and then each slot's epoch. The port loop runs only
+  /// for per-edge cells and per-receiver work: a sleeping phase's mail
+  /// stamps, the dist capture (which also writes the per-edge cells of the
+  /// slots that cross the wire) and the checksum lane.
   void send_ports(int shard, V from, int first, int count,
                   std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
@@ -855,6 +885,14 @@ class Runtime {
   /// program.sleeps() of the running phase: gates the mail stamp, the
   /// sleep check in sparse_step and Ctx::sleep_until.
   bool phase_sleeps_ = false;
+  /// Per-vertex unicast stamp: the session round in which v last wrote
+  /// per-edge cells, so a later broadcast in that round is caught without
+  /// a port scan. Written only by v's own shard.
+  std::unique_ptr<std::int32_t[]> unicast_;
+  /// True when the sweep that filled the in arena wrote any per-edge cell:
+  /// only then does sparse_step read a slot's epoch before the sender's
+  /// broadcast cell. Folded by merge_shards from Shard::wrote_edges.
+  bool edge_mail_ = false;
   V live_ = 0;
   int round_ = 0;
   /// Session-round base of the current phase: epoch stamps are

@@ -8,8 +8,9 @@
 // plainly correct rather than fast:
 //   * every sweep calls begin()/step() for every non-halted vertex in
 //     ascending order;
-//   * after every sweep, a full scan of the out arena copies each freshly
-//     stamped slot's payload into an ordered std::map<slot, payload>;
+//   * after every sweep, a full scan of every slot copies each fresh
+//     message -- in the slot's own per-edge cell, or else in its sender's
+//     broadcast cell -- into an ordered std::map<slot, payload>;
 //   * the next step sweep builds each inbox from that map (ascending slot
 //     == ascending port).
 // It shares neither the executor's live lists nor its step sweep, so a
@@ -52,8 +53,10 @@ struct ReferenceAccess {
                                bool is_begin) {
     rt.run_shard_phase(shard, program, is_begin);
   }
-  /// Copies every slot the sweep that just ran wrote (stamped with the
-  /// current session round) out of the out arena into `sent`.
+  /// Copies every message the sweep that just ran sent (stamped with the
+  /// current session round) out of the out arena into `sent`: slot s holds
+  /// one if its own per-edge cell carries the stamp, or else if the
+  /// broadcast cell of its sender, slot_target(s), does.
   static void collect_sent(
       const Runtime& rt,
       std::map<std::int64_t, std::vector<std::int64_t>>& sent) {
@@ -62,9 +65,19 @@ struct ReferenceAccess {
     const std::vector<std::int64_t>& words = out.words[0];
     for (std::int64_t s = 0; s < rt.slots_; ++s) {
       const auto si = static_cast<std::size_t>(s);
-      if (out.epoch[si] != stamp) continue;
-      sent[s].assign(words.begin() + out.off[si],
-                     words.begin() + out.off[si] + out.len[si]);
+      const Runtime::Cell& cell =
+          out.cell[static_cast<std::size_t>(rt.graph().slot_target(s))];
+      std::uint32_t off = 0, len = 0;
+      if (out.epoch[si] == stamp) {
+        off = out.off[si];
+        len = out.len[si];
+      } else if (cell.stamp == stamp) {
+        off = cell.off;
+        len = cell.len;
+      } else {
+        continue;
+      }
+      sent[s].assign(words.begin() + off, words.begin() + off + len);
     }
   }
 };

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -461,6 +462,29 @@ TEST(Checkpoint, ResumeCrossesShardCounts) {
   expect_identical(baseline, after, "checkpoint at shards=2, resume at 8");
 }
 
+// Checkpoint layout: magic u64 | version u32 | digest u64 | n i64 | slots
+// i64 | congest_words i32 | stamp base i32 | ... | checksum u64.
+constexpr std::size_t kVersionOffset = 8;
+constexpr std::size_t kCongestOffset = 36;
+constexpr std::size_t kStampBaseOffset = 40;
+
+/// `ckpt` with the i32 at `offset` set to `value` and the content checksum
+/// recomputed, so only the resume path's own checks can reject it.
+std::vector<std::uint8_t> reseal_i32(const std::vector<std::uint8_t>& ckpt,
+                                     std::size_t offset, std::int32_t value) {
+  std::vector<std::uint8_t> buf(ckpt.begin(), ckpt.end() - 8);
+  for (int i = 0; i < 4; ++i) {
+    buf[offset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(static_cast<std::uint32_t>(value) >> (8 * i));
+  }
+  constexpr std::uint64_t kCheckpointMagic = 0x647663434b505431ULL;
+  const std::uint64_t sum = wire::checksum64(kCheckpointMagic, buf);
+  for (int i = 0; i < 8; ++i) {
+    buf.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+  }
+  return buf;
+}
+
 TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
   const Graph g = planted_arboricity(200, 3, 53);
   sim::Runtime rt(g, 2);
@@ -485,22 +509,9 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
     EXPECT_THROW(fresh.resume(bad), sim::corruption_error);
   }
   // Re-sealed buffers: a valid content checksum over a field the resume
-  // path must reject on its own. Layout: magic u64 | version u32 | digest
-  // u64 | n i64 | slots i64 | congest_words i32 | ... | checksum u64.
-  constexpr std::size_t kVersionOffset = 8;
-  constexpr std::size_t kCongestOffset = 36;
+  // path must reject on its own.
   const auto reseal = [&](std::size_t offset, std::int32_t value) {
-    std::vector<std::uint8_t> buf(ckpt.begin(), ckpt.end() - 8);
-    for (int i = 0; i < 4; ++i) {
-      buf[offset + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(static_cast<std::uint32_t>(value) >> (8 * i));
-    }
-    constexpr std::uint64_t kCheckpointMagic = 0x647663434b505431ULL;
-    const std::uint64_t sum = wire::checksum64(kCheckpointMagic, buf);
-    for (int i = 0; i < 8; ++i) {
-      buf.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
-    }
-    return buf;
+    return reseal_i32(ckpt, offset, value);
   };
   {  // The re-sealing itself is sound: an unchanged budget resumes.
     sim::Runtime fresh(g, 2);
@@ -528,6 +539,32 @@ TEST(Checkpoint, ResumeRejectsForeignCorruptAndDivergentBuffers) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(Checkpoint, StampWrapResetsEveryCellBeforeStampsRestart) {
+  // A first run leaves every arena cell with a low stamp. A resumed
+  // checkpoint whose stamp base sits just below INT32_MAX lifts the base
+  // (it is taken as the max), so the next phase wraps it back to 0 -- and
+  // the second run's low stamps meet the first run's cells again. The wrap
+  // must reset them all (per-edge epochs, mail stamps, broadcast cells and
+  // unicast stamps), or a stale cell reads as fresh mail.
+  const Graph g = planted_arboricity(1 << 9, 4, 61);
+  const LegalColoringResult want =
+      dvc_test::reference_coloring(g, 4, Preset::PolylogTime);
+  for (const int shards : {1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    sim::Runtime rt(g, shards);
+    const LegalColoringResult first = color_graph(rt, 4, Preset::PolylogTime);
+    EXPECT_EQ(first.colors, want.colors);
+    rt.reset_log();
+    rt.resume(reseal_i32(rt.checkpoint(), kStampBaseOffset,
+                         std::numeric_limits<std::int32_t>::max() - 60));
+    const LegalColoringResult again = color_graph(rt, 4, Preset::PolylogTime);
+    EXPECT_EQ(again.colors, want.colors);
+    EXPECT_TRUE(again.total == want.total);
+    EXPECT_TRUE(again.phases == want.phases)
+        << "phase log differs from the reference";
   }
 }
 

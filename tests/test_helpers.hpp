@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/prng.hpp"
+#include "common/wire.hpp"
 #include "graph/graph.hpp"
 #include "sim/runtime.hpp"
 
@@ -65,18 +66,24 @@ class FloodAll : public dvc::sim::VertexProgram {
 };
 
 /// Speaks on every port with a 1-3-word payload that varies per vertex and
-/// round -- by one broadcast, or (`per_port`) by send(p) for ascending p,
-/// which must be indistinguishable -- and appends every delivered message
-/// to its receiver's transcript as {round, port, width, words...}. Vertices
-/// fall silent on some rounds and halt on a staggered schedule, so the
-/// transcripts also cover quiet senders and messages to halted vertices.
-/// `sparse` lets a vertex speak only one round in 32, so most cells the
-/// delivery sweep scans are stale.
+/// round -- by one broadcast, by send(p) for ascending p (kPerPort), which
+/// must be indistinguishable, or (kMixed) by either, chosen per vertex and
+/// round, so one round carries both kinds of cell -- and appends every
+/// delivered message to its receiver's transcript as {round, port, width,
+/// words...}. Vertices fall silent on some rounds and halt on a staggered
+/// schedule, so the transcripts also cover quiet senders and messages to
+/// halted vertices. `sparse` lets a vertex speak only one round in 32, so
+/// most cells the delivery sweep scans are stale. Dist-capable: a vertex's
+/// state is its transcript.
 class Chatter : public dvc::sim::VertexProgram {
  public:
   using Transcripts = std::vector<std::vector<std::int64_t>>;
+  enum class Speak { kBroadcast, kPerPort, kMixed };
+  Chatter(Speak speak, int rounds, Transcripts& heard, bool sparse = false)
+      : speak_(speak), sparse_(sparse), rounds_(rounds), heard_(heard) {}
   Chatter(bool per_port, int rounds, Transcripts& heard, bool sparse = false)
-      : per_port_(per_port), sparse_(sparse), rounds_(rounds), heard_(heard) {}
+      : Chatter(per_port ? Speak::kPerPort : Speak::kBroadcast, rounds, heard,
+                sparse) {}
   std::string name() const override { return "chatter"; }
   int max_words() const override { return 3; }
   void begin(dvc::sim::Ctx& ctx) override { speak(ctx); }
@@ -95,6 +102,18 @@ class Chatter : public dvc::sim::VertexProgram {
     speak(ctx);
   }
 
+  bool dist_capable() const override { return true; }
+  void save_vertex_state(dvc::V v, dvc::wire::ByteWriter& w) const override {
+    const auto& t = heard_[static_cast<std::size_t>(v)];
+    w.u64(t.size());
+    for (const std::int64_t x : t) w.i64(x);
+  }
+  void load_vertex_state(dvc::V v, dvc::wire::ByteReader& r) override {
+    auto& t = heard_[static_cast<std::size_t>(v)];
+    t.resize(r.u64());
+    for (std::int64_t& x : t) x = r.i64();
+  }
+
  private:
   void speak(dvc::sim::Ctx& ctx) {
     const std::int64_t id = ctx.id();
@@ -103,13 +122,15 @@ class Chatter : public dvc::sim::VertexProgram {
     const std::int64_t words[3] = {id, r, id * 131 + r};
     const std::span<const std::int64_t> payload(
         words, static_cast<std::size_t>(1 + (id + 2 * r) % 3));
-    if (!per_port_) {
+    const bool per_port = speak_ == Speak::kPerPort ||
+                          (speak_ == Speak::kMixed && (id * 7 + r) % 3 == 0);
+    if (!per_port) {
       ctx.broadcast(payload);
       return;
     }
     for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, payload);
   }
-  bool per_port_;
+  Speak speak_;
   bool sparse_;
   int rounds_;
   Transcripts& heard_;

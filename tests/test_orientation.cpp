@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "graph/generators.hpp"
 #include "graph/orientation.hpp"
@@ -112,6 +119,71 @@ TEST(Orientation, AppendixALengthBoundsChromaticNumber) {
     o.complete_acyclic();
     EXPECT_GE(o.length(), n - 1);
   }
+}
+
+/// The two-pass lengths: a topological order first, then each vertex's
+/// length from its already-placed parents.
+std::vector<int> two_pass_lengths(const Graph& g, const Orientation& o) {
+  std::vector<int> len(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (const V v : o.topological_order_parents_first()) {
+    for (int p = 0; p < g.degree(v); ++p) {
+      if (!o.is_out(v, p)) continue;
+      len[static_cast<std::size_t>(v)] =
+          std::max(len[static_cast<std::size_t>(v)],
+                   1 + len[static_cast<std::size_t>(g.neighbor(v, p))]);
+    }
+  }
+  return len;
+}
+
+TEST(Orientation, OnePassLengthsEqualTheTwoPassResult) {
+  // Random partial orientations (acyclic: every arrow points down a random
+  // rank), then their completions.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Graph g = random_gnm(300, 1200, seed);
+    std::mt19937_64 rng(seed);
+    std::vector<V> rank(static_cast<std::size_t>(g.num_vertices()));
+    std::iota(rank.begin(), rank.end(), V{0});
+    std::shuffle(rank.begin(), rank.end(), rng);
+    const auto rank_of = [&](V v) { return rank[static_cast<std::size_t>(v)]; };
+    Orientation o(g);
+    for (V v = 0; v < g.num_vertices(); ++v) {
+      for (int p = 0; p < g.degree(v); ++p) {
+        const V u = g.neighbor(v, p);
+        if (u < v || rng() % 3 == 0) continue;  // each edge once; some left
+        if (rank_of(v) > rank_of(u)) {
+          o.orient_out(v, p);
+        } else {
+          o.orient_in(v, p);
+        }
+      }
+    }
+    ASSERT_FALSE(o.is_complete());
+    for (const bool complete : {false, true}) {
+      SCOPED_TRACE(complete ? "complete" : "partial");
+      if (complete) o.complete_acyclic();
+      const std::vector<int> want = two_pass_lengths(g, o);
+      EXPECT_EQ(o.lengths(), want);
+      EXPECT_EQ(o.length(), *std::max_element(want.begin(), want.end()));
+      EXPECT_GT(o.length(), 1);
+    }
+  }
+}
+
+TEST(Orientation, LengthOfADirectedCycleThrows) {
+  // A directed 5-cycle hanging off an acyclic tail: no vertex of the cycle
+  // can ever be placed.
+  const Graph g = Graph::from_edges(
+      7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 0}, {6, 5}});
+  Orientation o(g);
+  for (V v = 0; v < 5; ++v) o.orient_out(v, g.port_of(v, (v + 1) % 5));
+  o.orient_out(5, g.port_of(5, 0));
+  o.orient_out(6, g.port_of(6, 5));
+  EXPECT_FALSE(o.is_acyclic());
+  EXPECT_THROW(o.lengths(), invariant_error);
+  EXPECT_THROW(o.length(), invariant_error);
+  EXPECT_THROW(o.topological_order_parents_first(), invariant_error);
 }
 
 }  // namespace

@@ -19,6 +19,11 @@
 //      slots) is indistinguishable from per-port sends in ascending order,
 //      errors included. The reference executor reaches the arena through
 //      the same send path, so the suites of section 4 cannot see this.
+//   8. Broadcast cells: a broadcast writes only its sender's cell, yet the
+//      one-message-per-edge rule still holds in both orders, and a round
+//      mixing broadcast and per-edge cells matches the reference in
+//      process (1/2/8 shards, threaded and inline) and over the loopback
+//      and fork transports.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -38,6 +43,7 @@
 #include "defective/kuhn.hpp"
 #include "defective/reduce.hpp"
 #include "defective/small_degree.hpp"
+#include "dist/dist.hpp"
 #include "graph/generators.hpp"
 #include "reference_executor.hpp"
 #include "sim/runtime.hpp"
@@ -779,6 +785,34 @@ class OneShot : public sim::VertexProgram {
   std::function<void(sim::Ctx&)> act_;
 };
 
+/// Runs `body` on a fresh session of `g` at 1, 2 and 8 shards, threaded and
+/// inline.
+template <typename Body>
+void for_each_session(const Graph& g, Body body) {
+  for (const int shards : {1, 2, 8}) {
+    for (const bool inline_shards : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   (inline_shards ? " inline" : " threaded"));
+      sim::Runtime rt(g, shards, inline_shards);
+      body(rt);
+    }
+  }
+}
+
+void expect_one_message_per_edge_error(sim::Runtime& rt,
+                                       sim::VertexProgram& prog) {
+  try {
+    rt.run_phase(prog, 8);
+    FAIL() << "expected invariant_error";
+  } catch (const sim::bandwidth_error& e) {
+    FAIL() << "a 1-word payload cannot exceed a cap: " << e.what();
+  } catch (const invariant_error& e) {
+    EXPECT_NE(std::string(e.what()).find("one message per edge-direction"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace bcast
 
 TEST(Broadcast, EqualsAscendingPerPortSendsAtAnyShardCount) {
@@ -857,24 +891,95 @@ TEST(Broadcast, OverCapBroadcastNamesPortZeroAndItsRound) {
 TEST(Broadcast, AfterASendOnOnePortViolatesOneMessagePerEdge) {
   const Graph g = bcast::mixed_graph(3);
   constexpr V kHub = 400;
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    sim::Runtime rt(g, shards);
+  bcast::for_each_session(g, [](sim::Runtime& rt) {
     bcast::OneShot prog(
         /*at=*/1, [](const sim::Ctx& ctx) { return ctx.vertex() == kHub; },
         [](sim::Ctx& ctx) {
           ctx.send(1, {ctx.id()});
           ctx.broadcast({ctx.id()});
         });
-    try {
-      rt.run_phase(prog, 8);
-      FAIL() << "expected invariant_error";
-    } catch (const sim::bandwidth_error& e) {
-      FAIL() << "a 1-word payload cannot exceed a cap: " << e.what();
-    } catch (const invariant_error& e) {
-      EXPECT_NE(std::string(e.what()).find("one message per edge-direction"),
-                std::string::npos)
-          << e.what();
+    bcast::expect_one_message_per_edge_error(rt, prog);
+  });
+}
+
+// --- 8. Broadcast cells -------------------------------------------------------
+
+TEST(BroadcastCell, SecondBroadcastInOneRoundViolatesOneMessagePerEdge) {
+  const Graph g = bcast::mixed_graph(3);
+  constexpr V kHub = 400;
+  bcast::for_each_session(g, [](sim::Runtime& rt) {
+    bcast::OneShot prog(
+        /*at=*/1, [](const sim::Ctx& ctx) { return ctx.vertex() == kHub; },
+        [](sim::Ctx& ctx) {
+          ctx.broadcast({ctx.id()});
+          ctx.broadcast({ctx.id()});
+        });
+    bcast::expect_one_message_per_edge_error(rt, prog);
+  });
+}
+
+TEST(BroadcastCell, SendAfterABroadcastViolatesOneMessagePerEdge) {
+  const Graph g = bcast::mixed_graph(3);
+  constexpr V kHub = 400;
+  bcast::for_each_session(g, [](sim::Runtime& rt) {
+    bcast::OneShot prog(
+        /*at=*/2, [](const sim::Ctx& ctx) { return ctx.vertex() == kHub; },
+        [](sim::Ctx& ctx) {
+          ctx.broadcast({ctx.id()});
+          ctx.send(ctx.degree() - 1, {ctx.id()});
+        });
+    bcast::expect_one_message_per_edge_error(rt, prog);
+  });
+}
+
+TEST(BroadcastCell, MixedBroadcastAndPerPortRoundsMatchTheReference) {
+  // Chatter in kMixed mode: in every round some vertices broadcast and
+  // others send port by port, so a receiver's inbox interleaves broadcast
+  // cells and per-edge cells. Two phases per session (dense, then sparse)
+  // so the second runs on warm cells and advanced stamps.
+  const Graph g = bcast::mixed_graph(5);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  using Speak = Chatter::Speak;
+  struct Phase {
+    int rounds;
+    bool sparse;
+  };
+  const Phase phases[] = {{10, false}, {40, true}};
+  std::vector<Chatter::Transcripts> want_heard;
+  std::vector<sim::RunStats> want;
+  {
+    ReferenceSession ref(g);
+    for (const Phase& ph : phases) {
+      want_heard.emplace_back(n);
+      Chatter prog(Speak::kMixed, ph.rounds, want_heard.back(), ph.sparse);
+      want.push_back(ref.runtime().run_phase(prog, 64));
+      EXPECT_GT(want.back().messages, 0u);
+    }
+  }
+  const auto expect_matches = [&](sim::Runtime& rt) {
+    for (std::size_t i = 0; i < std::size(phases); ++i) {
+      SCOPED_TRACE("phase " + std::to_string(i));
+      Chatter::Transcripts heard(n);
+      Chatter prog(Speak::kMixed, phases[i].rounds, heard, phases[i].sparse);
+      EXPECT_TRUE(same_stats(rt.run_phase(prog, 64), want[i]));
+      EXPECT_TRUE(heard == want_heard[i]) << "delivered inbox contents differ";
+    }
+  };
+  bcast::for_each_session(g, expect_matches);
+  for (const dist::Backend backend :
+       {dist::Backend::kLoopback, dist::Backend::kFork}) {
+    for (const int workers : {2, 3}) {
+      SCOPED_TRACE(std::string(dist::backend_name(backend)) +
+                   " workers=" + std::to_string(workers));
+      sim::Runtime rt(g, /*shards=*/8, /*inline_shards=*/true);
+      dist::DistConfig cfg;
+      cfg.workers = workers;
+      cfg.backend = backend;
+      dist::DistSession session(rt, cfg);
+      expect_matches(rt);
+      ASSERT_EQ(session.metrics().size(), std::size(phases));
+      EXPECT_TRUE(session.metrics()[0].distributed);
+      EXPECT_GT(session.metrics()[0].wire_bytes, 0u);
     }
   }
 }
