@@ -21,7 +21,7 @@
 //   ./bench_dist --smoke     # small-instance CI gate, exits nonzero on
 //                            # failure; writes BENCH_dist.json (schema gate:
 //                            # bit_identical != 0, measured_wire_bytes > 0,
-//                            # workers >= 2, wire_per_declared_word <= 8)
+//                            # workers >= 2, wire_per_declared_word <= 4)
 #include <cstdint>
 #include <iostream>
 #include <string>

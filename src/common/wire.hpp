@@ -246,7 +246,7 @@ struct ByteReader {
 // Framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x46637664;  // "dvcF"
-inline constexpr std::uint8_t kFrameVersion = 3;
+inline constexpr std::uint8_t kFrameVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameTrailerBytes = 8;
 /// Sanity cap on a single frame's payload (1 GiB): a length field beyond it

@@ -17,6 +17,18 @@
 
 namespace dvc::dist {
 
+namespace {
+
+/// Shard-slice bookkeeping of one worker: contiguous shard, slot and vertex
+/// ranges (contiguous because shards are vertex-contiguous).
+struct WorkerSlice {
+  int shard_lo = 0, shard_hi = 0;
+  std::int64_t slot_lo = 0, slot_hi = 0;
+  V vtx_lo = 0, vtx_hi = 0;
+};
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // RuntimeAccess: the transport's window into sim::Runtime (its sole friend).
 // Everything the worker/coordinator code touches of the session's private
@@ -35,7 +47,6 @@ struct RuntimeAccess {
   static Arena& out_arena(R& rt) { return rt.arenas_[1 - rt.in_idx_]; }
   static int round(R& rt) { return rt.round_; }
   static int phase_cur(R& rt) { return rt.phase_cur_; }
-  static std::int64_t num_slots(R& rt) { return rt.slots_; }
   static const sim::RunStats& stats(R& rt) { return rt.stats_; }
   static std::int32_t out_stamp(R& rt) { return rt.stamp_base_ + rt.round_; }
   static std::vector<std::uint8_t>& halted(R& rt) { return rt.halted_; }
@@ -54,14 +65,20 @@ struct RuntimeAccess {
     for (auto& words : rt.arenas_[1 - rt.in_idx_].words) words.clear();
   }
 
-  static void set_capture(R& rt, bool on, std::int64_t slot_lo,
-                          std::int64_t slot_hi) {
+  /// Points the capture at one worker's slot and vertex ranges, or (on =
+  /// false) turns it off.
+  static void set_capture(R& rt, bool on, const WorkerSlice& sl) {
     rt.dist_capture_ = on;
-    rt.dist_slot_lo_ = slot_lo;
-    rt.dist_slot_hi_ = slot_hi;
+    rt.dist_slot_lo_ = sl.slot_lo;
+    rt.dist_slot_hi_ = sl.slot_hi;
+    rt.dist_vtx_lo_ = sl.vtx_lo;
+    rt.dist_vtx_hi_ = sl.vtx_hi;
   }
   static std::vector<std::int64_t>& captured(R& rt, int shard) {
     return rt.dist_captured_[static_cast<std::size_t>(shard)];
+  }
+  static std::vector<V>& broadcasts(R& rt, int shard) {
+    return rt.dist_broadcasts_[static_cast<std::size_t>(shard)];
   }
 
   /// Failure-path scrub: zero every per-shard counter and drop pending
@@ -178,14 +195,6 @@ std::vector<std::uint8_t> encode_error_frame() {
   }
 }
 
-/// Shard-slice bookkeeping of one worker: contiguous shard, slot and vertex
-/// ranges (contiguous because shards are vertex-contiguous).
-struct WorkerSlice {
-  int shard_lo = 0, shard_hi = 0;
-  std::int64_t slot_lo = 0, slot_hi = 0;
-  V vtx_lo = 0, vtx_hi = 0;
-};
-
 /// The worker half of the protocol -- identical logic for a forked process
 /// (owns_runtime_state = true: it does its own round bookkeeping on its
 /// private copy-on-write session) and a loopback worker
@@ -195,10 +204,9 @@ struct WorkerCore {
   sim::Runtime* rt = nullptr;
   sim::VertexProgram* program = nullptr;
   int worker = 0;
-  WorkerSlice slice;
-  /// slot_lo per worker (size workers + 1, last = num_slots): routing table
-  /// mapping a captured slot to the worker owning it.
-  std::vector<std::int64_t> worker_slot_lo;
+  /// Every worker's slice in worker order: this worker's own ranges and the
+  /// routing table for what it sends.
+  std::vector<WorkerSlice> slices;
   bool owns_runtime_state = false;
   /// Sweeps until the armed fault fires (-1 = disarmed), decremented at
   /// sweep entry; 0 means "this sweep".
@@ -206,20 +214,25 @@ struct WorkerCore {
   int corrupt_countdown = -1;
   /// Reply frames, kept across sweeps (cleared, not freed) so a sweep's
   /// encoding allocates nothing once the buffers have grown: one kMsgs
-  /// frame per destination worker, with its group count and the byte
-  /// offset and entry count of its current sender shard's group, the
-  /// kStats frame and the kState frame.
+  /// frame per destination worker, with its group count, whether its
+  /// current sender shard's group is open, and the byte offset and value of
+  /// the count that group is filling; the kStats frame and the kState frame.
   std::vector<ByteWriter> msgs_out;
   std::vector<std::uint32_t> msgs_groups;
+  std::vector<std::uint8_t> group_open;
   std::vector<std::size_t> group_at;
   std::vector<std::uint32_t> group_entries;
   ByteWriter stats_out;
   ByteWriter state_out;
 
+  const WorkerSlice& own() const {
+    return slices[static_cast<std::size_t>(worker)];
+  }
+
   int dest_worker_of(std::int64_t slot) const {
-    const auto it = std::upper_bound(worker_slot_lo.begin() + 1,
-                                     worker_slot_lo.end() - 1, slot);
-    return static_cast<int>(it - worker_slot_lo.begin()) - 1;
+    const auto it =
+        std::ranges::upper_bound(slices, slot, {}, &WorkerSlice::slot_lo);
+    return static_cast<int>(it - slices.begin()) - 1;
   }
 
   /// Decodes one coordinator frame and runs its handler, handing each
@@ -252,12 +265,16 @@ struct WorkerCore {
     }
   }
 
-  /// Applies a relayed kMsgs payload into the post-sweep out arena: stamps
-  /// each slot for next round's delivery and appends its payload words to
-  /// the SENDER shard's flat buffer (offsets are recomputed locally -- the
-  /// sender's offsets are meaningless in this process's buffers). In a
-  /// sleeping phase it also stamps the receiver's mail, found in O(1) as
-  /// the target of the slot's mirror, so a sleeping receiver wakes. FIFO
+  /// Applies a relayed kMsgs payload into the post-sweep out arena, each
+  /// entry into the cell it was sent from: a broadcast entry into the
+  /// sender's broadcast cell, a per-slot entry into the receiver's per-edge
+  /// cell. Its words are appended to the SENDER shard's flat buffer
+  /// (offsets are recomputed locally -- the sender's offsets are
+  /// meaningless in this process's buffers). In a sleeping phase it also
+  /// stamps the mail of every receiver on this worker, so a sleeping
+  /// receiver wakes: a broadcast's receivers here are a contiguous run of
+  /// its sorted row, a per-slot entry's receiver is its slot's owner.
+  /// Every check of an entry runs before its cell is written. FIFO
   /// transport order guarantees every round-r message lands before the
   /// round-r+1 sweep that consumes it.
   void apply_msgs(std::span<const std::uint8_t> payload) {
@@ -269,39 +286,83 @@ struct WorkerCore {
     const std::int32_t stamp = RuntimeAccess::out_stamp(*rt);
     const bool sleeps = RuntimeAccess::phase_sleeps(*rt);
     const Graph& g = rt->graph();
+    const WorkerSlice& me = own();
     for (std::uint32_t gi = 0; gi < n_groups; ++gi) {
-      const auto sender_shard = static_cast<std::size_t>(r.u32());
-      DVC_ENSURE(sender_shard <
-                     static_cast<std::size_t>(RuntimeAccess::num_shards(*rt)),
+      const std::uint32_t sender_shard = r.u32();
+      DVC_ENSURE(sender_shard < static_cast<std::uint32_t>(
+                                    RuntimeAccess::num_shards(*rt)),
                  "relayed message names an unknown sender shard");
+      DVC_ENSURE(static_cast<int>(sender_shard) < me.shard_lo ||
+                     static_cast<int>(sender_shard) >= me.shard_hi,
+                 "relayed message names a sender shard of this worker");
+      const auto& from =
+          RuntimeAccess::shard(*rt, static_cast<int>(sender_shard));
       auto& words = arena.words[sender_shard];
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::int64_t slot = r.u32();
+      // Decodes one entry's length and words onto the end of `words` and
+      // returns {offset, length}. Every word takes at least one byte: a
+      // length the payload cannot hold is corruption, caught before the
+      // resize below allocates it.
+      const auto take_words = [&] {
         const std::uint64_t len = r.uvarint();
-        DVC_ENSURE(slot >= slice.slot_lo && slot < slice.slot_hi,
-                   "relayed message slot outside this worker's range");
-        // Every word takes at least one byte: a length the payload cannot
-        // hold is corruption, caught before the resize below allocates it.
         r.need(len);
         DVC_ENSURE(words.size() + len <= 0xffffffffu,
                    "a shard's per-round payload exceeds the 32-bit arena "
                    "offsets");
-        const auto s = static_cast<std::size_t>(slot);
         const std::size_t at = words.size();
+        words.resize(at + len);
+        r.svarints(std::span<std::int64_t>(words).subspan(at));
+        return std::pair{static_cast<std::uint32_t>(at),
+                         static_cast<std::uint32_t>(len)};
+      };
+      const std::uint32_t n_broadcasts = r.u32();
+      for (std::uint32_t i = 0; i < n_broadcasts; ++i) {
+        const std::int64_t u = r.u32();
+        DVC_ENSURE(u >= from.first && u < from.last,
+                   "relayed broadcast names a vertex outside its sender shard");
+        const std::span<const V> nbrs = g.neighbors(static_cast<V>(u));
+        const auto here = std::lower_bound(nbrs.begin(), nbrs.end(), me.vtx_lo);
+        DVC_ENSURE(here != nbrs.end() && *here < me.vtx_hi,
+                   "relayed broadcast has no receiver on this worker");
+        const auto [off, len] = take_words();
+        arena.cell[static_cast<std::size_t>(u)] = {stamp, off, len};
+        if (sleeps) {
+          for (auto it = here; it != nbrs.end() && *it < me.vtx_hi; ++it) {
+            arena.mail[static_cast<std::size_t>(*it)] = stamp;
+          }
+        }
+      }
+      const std::uint32_t n_edges = r.u32();
+      for (std::uint32_t i = 0; i < n_edges; ++i) {
+        const std::int64_t slot = r.u32();
+        DVC_ENSURE(slot >= me.slot_lo && slot < me.slot_hi,
+                   "relayed message slot outside this worker's range");
+        const V sender = g.slot_target(slot);
+        DVC_ENSURE(sender >= from.first && sender < from.last,
+                   "relayed message slot's sender is outside its sender shard");
+        const auto [off, len] = take_words();
+        const auto s = static_cast<std::size_t>(slot);
         arena.epoch[s] = stamp;
-        arena.off[s] = static_cast<std::uint32_t>(at);
-        arena.len[s] = static_cast<std::uint32_t>(len);
+        arena.off[s] = off;
+        arena.len[s] = len;
         if (sleeps) {
           arena.mail[static_cast<std::size_t>(
               g.slot_target(g.mirror_slot(slot)))] = stamp;
         }
-        words.resize(at + len);
-        r.svarints(std::span<std::int64_t>(words).subspan(at));
       }
     }
     DVC_ENSURE(r.pos == payload.size(),
                "messages frame has trailing bytes past its entries");
+  }
+
+  /// Appends one kMsgs entry: a u32 key (the sending vertex of a broadcast
+  /// entry, the receiving slot of a per-slot entry), the LEB128 length and
+  /// the zigzag-LEB128 words, grow-then-store.
+  static void put_entry(ByteWriter& w, std::uint32_t key,
+                        std::span<const std::int64_t> words) {
+    std::uint8_t* p = w.grow(4 + wire::kMaxVarintBytes * (1 + words.size()));
+    p = wire::put_u32(p, key);
+    p = wire::put_uvarint(p, words.size());
+    w.trim(wire::put_svarints(p, words));
   }
 
   /// Runs one sweep over the worker's shards and hands the response frames
@@ -315,18 +376,20 @@ struct WorkerCore {
     if (owns_runtime_state && !is_begin) {
       RuntimeAccess::advance_round(*rt, h.round);
     }
-    // Capture gate: per-worker slot range (loopback workers share one
-    // session, so the range is re-pointed before every sweep).
-    RuntimeAccess::set_capture(*rt, true, slice.slot_lo, slice.slot_hi);
-    for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
+    // Capture gate: this worker's ranges (loopback workers share one
+    // session, so the ranges are re-pointed before every sweep).
+    const WorkerSlice& me = own();
+    RuntimeAccess::set_capture(*rt, true, me);
+    for (int s = me.shard_lo; s < me.shard_hi; ++s) {
       RuntimeAccess::captured(*rt, s).clear();
+      RuntimeAccess::broadcasts(*rt, s).clear();
       RuntimeAccess::run_shard(*rt, s, *program, is_begin);
     }
-    RuntimeAccess::set_capture(*rt, false, 0, 0);
+    RuntimeAccess::set_capture(*rt, false, WorkerSlice{});
     // A sweep exception was parked in the shard struct (the in-process
     // pool's convention); surface the first one here, leaving the counters
     // to the coordinator's failure scrub.
-    for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
+    for (int s = me.shard_lo; s < me.shard_hi; ++s) {
       auto& sh = RuntimeAccess::shard(*rt, s);
       if (sh.error) {
         std::exception_ptr err = sh.error;
@@ -338,51 +401,90 @@ struct WorkerCore {
     const int phase = h.phase;
     const int round = h.round;
     // Cross-worker messages: one kMsgs frame per destination worker, its
-    // entries grouped by sender shard (each shard's captured slots form one
-    // group per destination). Payload layout:
+    // entries grouped by sender shard. Payload layout:
     //   u32 dest_worker, u32 n_groups,
-    //   n_groups x { u32 sender_shard, u32 n_entries,
-    //                n_entries x { u32 slot, uvarint len,
-    //                              len x svarint words } }
-    const auto workers = worker_slot_lo.size() - 1;
+    //   n_groups x { u32 sender_shard,
+    //                u32 n_broadcasts, n_broadcasts x { u32 vertex, entry },
+    //                u32 n_edges, n_edges x { u32 slot, entry } }
+    // where entry = { uvarint len, len x svarint words }. A broadcast
+    // crosses once per destination worker holding one of its receivers.
+    const auto workers = slices.size();
+    const auto self = static_cast<std::size_t>(worker);
     msgs_out.resize(workers);
     msgs_groups.assign(workers, 0);
     group_at.resize(workers);
+    group_entries.resize(workers);
     auto& arena = RuntimeAccess::out_arena(*rt);
-    for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
-      auto& captured = RuntimeAccess::captured(*rt, s);
-      const auto& words = arena.words[static_cast<std::size_t>(s)];
-      group_entries.assign(workers, 0);
-      for (const std::int64_t slot : captured) {
-        const auto dest = static_cast<std::size_t>(dest_worker_of(slot));
-        ByteWriter& w = msgs_out[dest];
-        if (group_entries[dest]++ == 0) {
-          if (msgs_groups[dest]++ == 0) {
-            wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kMsgs),
-                              phase, round);
-            w.u32(static_cast<std::uint32_t>(dest));
-            w.u32(0);  // group count, patched below
-          }
-          w.u32(static_cast<std::uint32_t>(s));
-          group_at[dest] = w.buf.size();
-          w.u32(0);  // entry count, patched after this shard
-        }
-        const auto si = static_cast<std::size_t>(slot);
-        const std::uint32_t len = arena.len[si];
-        std::uint8_t* p =
-            w.grow(4 + wire::kMaxVarintBytes * (1 + std::size_t{len}));
-        p = wire::put_u32(p, static_cast<std::uint32_t>(slot));
-        p = wire::put_uvarint(p, len);
-        w.trim(wire::put_svarints(
-            p, std::span<const std::int64_t>(words).subspan(arena.off[si],
-                                                            len)));
+    const Graph& g = rt->graph();
+    // Patches the count dest d's group is filling and starts the next.
+    const auto next_count = [&](std::size_t d) {
+      ByteWriter& w = msgs_out[d];
+      w.patch_u32(group_at[d], group_entries[d]);
+      group_at[d] = w.buf.size();
+      group_entries[d] = 0;
+      w.u32(0);
+    };
+    // Opens dest d's group for sender shard s (and d's frame with its first
+    // group), filling its broadcast count.
+    const auto open_group = [&](std::size_t d, int s) {
+      ByteWriter& w = msgs_out[d];
+      if (msgs_groups[d]++ == 0) {
+        wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kMsgs),
+                          phase, round);
+        w.u32(static_cast<std::uint32_t>(d));
+        w.u32(0);  // group count, patched below
       }
+      w.u32(static_cast<std::uint32_t>(s));
+      group_open[d] = 1;
+      group_at[d] = w.buf.size();
+      group_entries[d] = 0;
+      w.u32(0);
+    };
+    for (int s = me.shard_lo; s < me.shard_hi; ++s) {
+      const auto& words = arena.words[static_cast<std::size_t>(s)];
+      group_open.assign(workers, 0);
+      // Broadcast entries, from the sender's cell: one lower_bound per
+      // worker over the sorted row finds the destinations.
+      auto& broadcasts = RuntimeAccess::broadcasts(*rt, s);
+      for (const V u : broadcasts) {
+        const auto& c = arena.cell[static_cast<std::size_t>(u)];
+        const auto payload_words =
+            std::span<const std::int64_t>(words).subspan(c.off, c.len);
+        const std::span<const V> nbrs = g.neighbors(u);
+        auto it = nbrs.begin();
+        for (std::size_t d = 0; d < workers; ++d) {
+          it = std::lower_bound(it, nbrs.end(), slices[d].vtx_lo);
+          if (it == nbrs.end()) break;
+          if (d == self || *it >= slices[d].vtx_hi) continue;
+          if (!group_open[d]) open_group(d, s);
+          ++group_entries[d];
+          put_entry(msgs_out[d], static_cast<std::uint32_t>(u), payload_words);
+        }
+      }
+      broadcasts.clear();
       for (std::size_t d = 0; d < workers; ++d) {
-        if (group_entries[d] > 0) {
+        if (group_open[d]) next_count(d);
+      }
+      // Per-slot entries: every per-edge cell bound for another worker.
+      auto& captured = RuntimeAccess::captured(*rt, s);
+      for (const std::int64_t slot : captured) {
+        const auto d = static_cast<std::size_t>(dest_worker_of(slot));
+        if (!group_open[d]) {
+          open_group(d, s);
+          next_count(d);
+        }
+        ++group_entries[d];
+        const auto si = static_cast<std::size_t>(slot);
+        put_entry(msgs_out[d], static_cast<std::uint32_t>(slot),
+                  std::span<const std::int64_t>(words).subspan(arena.off[si],
+                                                               arena.len[si]));
+      }
+      captured.clear();
+      for (std::size_t d = 0; d < workers; ++d) {
+        if (group_open[d]) {
           msgs_out[d].patch_u32(group_at[d], group_entries[d]);
         }
       }
-      captured.clear();
     }
     for (std::size_t d = 0; d < workers; ++d) {
       if (msgs_groups[d] == 0) continue;
@@ -401,7 +503,7 @@ struct WorkerCore {
     ByteWriter& stats = stats_out;
     wire::begin_frame(stats, static_cast<std::uint8_t>(FrameType::kStats),
                       phase, round);
-    for (int s = slice.shard_lo; s < slice.shard_hi; ++s) {
+    for (int s = me.shard_lo; s < me.shard_hi; ++s) {
       auto& sh = RuntimeAccess::shard(*rt, s);
       stats.u64(sh.messages);
       stats.u64(sh.words);
@@ -432,7 +534,7 @@ struct WorkerCore {
     ByteWriter& w = state_out;
     wire::begin_frame(w, static_cast<std::uint8_t>(FrameType::kState),
                       h.phase, h.round);
-    for (V v = slice.vtx_lo; v < slice.vtx_hi; ++v) {
+    for (V v = own().vtx_lo; v < own().vtx_hi; ++v) {
       program->save_vertex_state(v, w);
     }
     wire::end_frame(w);
@@ -560,7 +662,6 @@ class DistExecutor final : public sim::PhaseExecutor {
     // [w*S/W, (w+1)*S/W) -- every worker non-empty because W <= S.
     const int S = RuntimeAccess::num_shards(rt);
     slices_.assign(static_cast<std::size_t>(workers), WorkerSlice{});
-    std::vector<std::int64_t> slot_lo(static_cast<std::size_t>(workers) + 1);
     for (int w = 0; w < workers; ++w) {
       WorkerSlice& sl = slices_[static_cast<std::size_t>(w)];
       sl.shard_lo = static_cast<int>(std::int64_t{w} * S / workers);
@@ -569,9 +670,7 @@ class DistExecutor final : public sim::PhaseExecutor {
       sl.slot_hi = RuntimeAccess::shard(rt, sl.shard_hi - 1).slot_hi;
       sl.vtx_lo = RuntimeAccess::shard(rt, sl.shard_lo).first;
       sl.vtx_hi = RuntimeAccess::shard(rt, sl.shard_hi - 1).last;
-      slot_lo[static_cast<std::size_t>(w)] = sl.slot_lo;
     }
-    slot_lo[static_cast<std::size_t>(workers)] = RuntimeAccess::num_slots(rt);
 
     links_.clear();
     pids_.assign(static_cast<std::size_t>(workers), -1);
@@ -580,8 +679,7 @@ class DistExecutor final : public sim::PhaseExecutor {
       core.rt = &rt;
       core.program = &program;
       core.worker = w;
-      core.slice = slices_[static_cast<std::size_t>(w)];
-      core.worker_slot_lo = slot_lo;
+      core.slices = slices_;
       if (cfg_.kill_at_sweep >= 0 && w == cfg_.kill_worker) {
         core.kill_countdown = cfg_.kill_at_sweep - sweeps_done_;
         if (core.kill_countdown < 0) core.kill_countdown = -1;  // already past
@@ -650,6 +748,7 @@ class DistExecutor final : public sim::PhaseExecutor {
             const auto dest = static_cast<int>(r.u32());
             DVC_ENSURE(dest >= 0 && dest < worker_count(),
                        "messages frame names an unknown destination worker");
+            m.msgs_bytes += frame_in.size();
             relays.emplace_back(dest, std::move(frame_in));
             continue;
           }
@@ -663,7 +762,17 @@ class DistExecutor final : public sim::PhaseExecutor {
           break;
         }
       }
-      for (auto& [dest, frame_out] : relays) send_to(dest, frame_out);
+      for (auto& [dest, frame_out] : relays) {
+        if (cfg_.tamper_msgs) {
+          const wire::FrameHeader h = wire::decode_frame_header(frame_out);
+          const auto body = wire::frame_payload(frame_out);
+          std::vector<std::uint8_t> payload(body.begin(), body.end());
+          cfg_.tamper_msgs(payload);
+          frame_out = wire::encode_frame(h.type, h.phase, h.round, payload);
+        }
+        m.msgs_bytes += frame_out.size();
+        send_to(dest, frame_out);
+      }
     } catch (worker_lost_error& e) {
       // Stamp the loss with the phase context the transport cannot know.
       throw worker_lost_error("in phase '" +
@@ -818,6 +927,7 @@ PhaseWireMetrics DistSession::totals() const {
     t.rounds += m.rounds;
     t.wire_bytes += m.wire_bytes;
     t.frames += m.frames;
+    t.msgs_bytes += m.msgs_bytes;
     t.round_trips += m.round_trips;
     t.declared_words += m.declared_words;
     t.declared_messages += m.declared_messages;

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +64,11 @@ struct DistConfig {
   /// validation must raise corruption_error.
   int corrupt_at_sweep = -1;
   int corrupt_worker = 0;
+  /// Rewrites the payload of every kMsgs frame the coordinator relays,
+  /// which then re-frames it with a valid checksum (empty = never): a
+  /// worker whose encoder wrote a malformed entry, which only the
+  /// destination's decoder can reject.
+  std::function<void(std::vector<std::uint8_t>& payload)> tamper_msgs;
 };
 
 /// Measured wire accounting for one phase run under a DistSession,
@@ -80,6 +86,9 @@ struct PhaseWireMetrics {
   int rounds = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t frames = 0;
+  /// The part of wire_bytes in kMsgs frames (cross-worker messages), each
+  /// counted on both of its hops: worker to coordinator, and the relay.
+  std::uint64_t msgs_bytes = 0;
   std::uint64_t round_trips = 0;  ///< sweep fan-out/fan-in cycles + finish
   std::uint64_t declared_words = 0;
   std::uint64_t declared_messages = 0;

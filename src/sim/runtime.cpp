@@ -424,6 +424,7 @@ Runtime::Runtime(const Graph& g, int shards, bool inline_shards) : g_(&g) {
   halted_.assign(static_cast<std::size_t>(n), 0);
   wake_.assign(static_cast<std::size_t>(n), 0);
   dist_captured_.resize(static_cast<std::size_t>(num_shards_));
+  dist_broadcasts_.resize(static_cast<std::size_t>(num_shards_));
   for (Shard& sh : shards_) {
     // Live list holds at most the shard's vertex range, inboxes at most the
     // shard's max degree. Reserving the exact bounds here makes every round
@@ -545,29 +546,37 @@ void Runtime::send_ports(int shard, V from, int first, int count,
   } else {
     DVC_ENSURE(unicast_[fi] != stamp, kOneMessagePerEdge);
     mine = Cell{stamp, off, static_cast<std::uint32_t>(len)};
+    // Distributed sweep: a broadcast with a receiver outside this worker's
+    // vertex range crosses the wire as its cell, once per destination
+    // worker. The row is sorted, so its two ends decide.
+    if (dist_capture_) {
+      const std::span<const V> nbrs = g_->neighbors(from);
+      if (nbrs.front() < dist_vtx_lo_ || nbrs.back() >= dist_vtx_hi_) {
+        dist_broadcasts_[sid].push_back(from);
+      }
+    }
   }
   // Sleeping phases only: stamp each receiver so a sleeper wakes. Receivers
   // may live on other shards, hence the relaxed atomic store (every writer
   // of a cell this round stores the same stamp; the next round reads it
   // after the barrier).
   std::int32_t* const mail = phase_sleeps_ ? out.mail.get() : nullptr;
-  const bool capture = dist_capture_;
   // The port loop runs only for per-edge cells and per-receiver work.
-  if (per_edge || mail || capture) {
+  if (per_edge || mail) {
     const std::int64_t row = g_->slot(from, 0);
     // Checksum lane: fold what was ACTUALLY sent, before any injector can
     // touch the arena. XOR-combined across slots and shards, so the totals
     // are delivery-order and shard-count invariant.
     const bool lane = fault_armed_ && fault_plan_.checksum;
     const std::uint64_t lane_fold = lane ? lane_payload_fold(payload) : 0;
+    const bool capture = dist_capture_ && per_edge;
     for (int port = first; port < first + count; ++port) {
       const std::int64_t s = g_->mirror_slot(row + port);
       const auto si = static_cast<std::size_t>(s);
-      // Distributed sweep: every slot outside this worker's own range must
-      // cross the wire to its owner, so it gets a per-edge cell (a broadcast
-      // cell stays in this process) and is remembered for the relay.
+      // Distributed sweep: a per-edge cell outside this worker's own slot
+      // range crosses the wire to its owner as its own entry.
       const bool remote = capture && (s < dist_slot_lo_ || s >= dist_slot_hi_);
-      if (per_edge || remote) {
+      if (per_edge) {
         DVC_ENSURE(out.epoch[si] != stamp, kOneMessagePerEdge);
         out.epoch[si] = stamp;
         out.off[si] = off;
@@ -637,9 +646,10 @@ void Runtime::sparse_step(int shard, VertexProgram& program) {
       num_shards_ == 1 ? in.words.data() : nullptr;
   Inbox& inbox = sh.inbox;
   // A message is in the receiver's per-edge cell only if the sweep that
-  // wrote this arena stamped some (a dist worker's relayed mail always
-  // does); otherwise, and when that cell is stale, it is in the sender's
-  // broadcast cell.
+  // wrote this arena stamped some (a dist worker always looks: relayed
+  // per-slot entries stamp cells its merge never hears of); otherwise, and
+  // when that cell is stale, it is in the sender's broadcast cell -- a
+  // relayed broadcast included.
   const std::int32_t* const epoch =
       edge_mail_ || dist_capture_ ? in.epoch.get() : nullptr;
   const Cell* const cell = in.cell.get();

@@ -753,9 +753,11 @@ class Runtime {
   ///     port scan finds it at cell[neighbor(v, p)];
   ///   * the receiver's PER-EDGE cell, slot s (a directed edge endpoint):
   ///     `epoch[s]` stamps the round that last wrote it. Written by
-  ///     Ctx::send, by every send of a fault-armed phase (so a drop or a
-  ///     corruption hits exactly one message), and by a capturing dist
-  ///     sweep for the slots it ships to another worker.
+  ///     Ctx::send and by every send of a fault-armed phase (so a drop or a
+  ///     corruption hits exactly one message).
+  /// A dist worker receives each kind as it was written: a relayed
+  /// broadcast lands in the sender's cell, a relayed per-slot entry in the
+  /// receiver's per-edge cell.
   /// Either way a cell holds at most one message per round, and stamps
   /// increase monotonically across phases, so stale cells are skipped
   /// without any per-round or per-PHASE clear: a warm phase start is O(n),
@@ -833,8 +835,8 @@ class Runtime {
   /// broadcast checks the sender's cell and unicast stamp, a per-port send
   /// the sender's cell and then each slot's epoch. The port loop runs only
   /// for per-edge cells and per-receiver work: a sleeping phase's mail
-  /// stamps, the dist capture (which also writes the per-edge cells of the
-  /// slots that cross the wire) and the checksum lane.
+  /// stamps, the checksum lane and the dist capture of remote per-edge
+  /// cells. A capturing broadcast records only its sender, once.
   void send_ports(int shard, V from, int first, int count,
                   std::span<const std::int64_t> payload);
   void do_halt(int shard, V v);
@@ -931,13 +933,18 @@ class Runtime {
   /// Distributed-phase seam state. The executor (borrowed; see
   /// set_phase_executor) is offered every phase. While a worker process
   /// sweeps on behalf of the transport, dist_capture_ makes send_ports also
-  /// record, per sending shard, every inbox slot OUTSIDE the worker's own
-  /// slot range [dist_slot_lo_, dist_slot_hi_) -- the messages that must
-  /// cross the wire to their owning worker.
+  /// record, per sending shard, what must cross the wire, in the form the
+  /// runtime keeps it: in dist_broadcasts_ each broadcasting vertex with a
+  /// neighbor outside the worker's vertex range [dist_vtx_lo_,
+  /// dist_vtx_hi_) -- its one cell is shipped once per destination worker
+  /// -- and in dist_captured_ each per-edge slot outside the worker's slot
+  /// range [dist_slot_lo_, dist_slot_hi_).
   PhaseExecutor* phase_executor_ = nullptr;
   bool dist_capture_ = false;
   std::int64_t dist_slot_lo_ = 0, dist_slot_hi_ = 0;
+  V dist_vtx_lo_ = 0, dist_vtx_hi_ = 0;
   std::vector<std::vector<std::int64_t>> dist_captured_;
+  std::vector<std::vector<V>> dist_broadcasts_;
 
   // Parked worker pool: spawned once in the constructor, woken per
   // begin/step sweep, joined in the destructor.

@@ -20,6 +20,7 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,95 @@ class DistFlood : public FloodAll {
   void save_vertex_state(V, wire::ByteWriter&) const override {}
   void load_vertex_state(V, wire::ByteReader&) override {}
 };
+
+/// A hub calling its leaves: vertex 0 sleeps until round `at`, then sends
+/// {7, -300} -- one broadcast, or one send per port when `per_port` -- and
+/// halts. Every other vertex with a neighbor sleeps until mail arrives,
+/// folds what it heard into its digest and halts; so in a distributed run
+/// a leaf on another worker wakes only if the relay stamps its mail.
+/// Vertices with no neighbor halt in begin(). The hub's one call is the
+/// only traffic of the phase.
+class HubCall : public sim::VertexProgram {
+ public:
+  HubCall(V n, int at, bool per_port)
+      : heard_(static_cast<std::size_t>(n), 0), at_(at), per_port_(per_port) {}
+  std::string name() const override { return "hub-call"; }
+  bool sleeps() const override { return true; }
+  bool dist_capable() const override { return true; }
+  void begin(sim::Ctx& ctx) override {
+    if (ctx.degree() == 0) {
+      ctx.halt();
+    } else {
+      act(ctx);
+    }
+  }
+  void step(sim::Ctx& ctx, const sim::Inbox& inbox) override {
+    if (ctx.vertex() == 0 || inbox.empty()) {
+      act(ctx);
+      return;
+    }
+    std::int64_t& h = heard_[static_cast<std::size_t>(ctx.vertex())];
+    for (const sim::MsgView& m : inbox) {
+      for (const std::int64_t w : m.data) h = h * 31 + w + m.port;
+    }
+    ctx.halt();
+  }
+  void save_vertex_state(V v, wire::ByteWriter& w) const override {
+    w.i64(heard_[static_cast<std::size_t>(v)]);
+  }
+  void load_vertex_state(V v, wire::ByteReader& r) override {
+    heard_[static_cast<std::size_t>(v)] = r.i64();
+  }
+  const std::vector<std::int64_t>& heard() const { return heard_; }
+
+ private:
+  void act(sim::Ctx& ctx) {
+    if (ctx.vertex() != 0) {
+      ctx.sleep_until(sim::Ctx::kOnMail);
+    } else if (ctx.round() < at_) {
+      ctx.sleep_until(at_);
+    } else {
+      if (per_port_) {
+        for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, {7, -300});
+      } else {
+        ctx.broadcast({7, -300});
+      }
+      ctx.halt();
+    }
+  }
+
+  std::vector<std::int64_t> heard_;
+  int at_;
+  bool per_port_;
+};
+
+/// Bytes of one kMsgs frame carrying one group with one HubCall entry:
+/// header; dest and group count; sender shard, broadcast count and edge
+/// count; the entry's u32 key, its 1-byte length and the words 7 and -300
+/// (zigzag 14 and 599: one byte and two); trailer. Each further entry adds
+/// kHubEntry bytes.
+constexpr std::uint64_t kHubEntry = 4 + 1 + 1 + 2;
+constexpr std::uint64_t kOneHubEntryFrame =
+    wire::kFrameHeaderBytes + 2 * 4 + 3 * 4 + kHubEntry +
+    wire::kFrameTrailerBytes;
+
+/// A graph on n vertices whose edges are the hub's (0, leaf) plus `extra`.
+Graph hub_graph(V n, const std::vector<V>& leaves, EdgeList extra = {}) {
+  for (const V leaf : leaves) extra.emplace_back(0, leaf);
+  return Graph::from_edges(n, extra);
+}
+
+/// kMsgs bytes of the one phase `session` ran, which must have been
+/// distributed.
+std::uint64_t only_phase_msgs_bytes(const DistSession& session) {
+  const std::vector<PhaseWireMetrics>& metrics = session.metrics();
+  if (metrics.size() != 1 || !metrics[0].distributed) {
+    ADD_FAILURE() << "expected one distributed phase, got " << metrics.size()
+                  << " phase(s)";
+    return 0;
+  }
+  return metrics[0].msgs_bytes;
+}
 
 void expect_identical(const LegalColoringResult& a,
                       const LegalColoringResult& b, const std::string& what) {
@@ -290,6 +380,84 @@ TEST(Wire, MalformedVarintsAreCorruption) {
   EXPECT_THROW(rr.svarints(out), corruption_error);
 }
 
+TEST(Wire, MalformedMsgsEntriesAreRejectedOnReceipt) {
+  // Two workers of two shards each: the hub (shard 0) calls its leaves 8..15
+  // on worker 1 and its one local leaf, vertex 1. The coordinator relays
+  // one kMsgs frame, worker 0 -> worker 1, which each case rewrites (with a
+  // valid checksum) before the destination decodes it. Each malformed entry
+  // must fail its check, which runs before the entry's cell is written, and
+  // the error must reach the coordinator with its type.
+  constexpr V kN = 16;
+  std::vector<V> leaves = {1};
+  for (V v = 8; v < kN; ++v) leaves.push_back(v);
+  const Graph g = hub_graph(kN, leaves);
+  // Payload offsets of the single group's fields (see DESIGN.md, "Wire
+  // format"): dest 0, n_groups 4, sender_shard 8, n_broadcasts 12, then
+  // the first broadcast entry's vertex 16 and length 20.
+  constexpr std::size_t kShardAt = 8, kVertexAt = 16, kLenAt = 20;
+  const auto put = [](std::vector<std::uint8_t>& p, std::size_t at,
+                      std::uint32_t v) { wire::put_u32(p.data() + at, v); };
+  struct Case {
+    const char* what;
+    bool per_port;
+    std::function<void(std::vector<std::uint8_t>&)> tamper;
+    const char* message;  // nullptr: the run must succeed
+  };
+  const std::vector<Case> cases = {
+      {"untouched broadcast", false, [](auto&) {}, nullptr},
+      {"untouched per-slot entries", true, [](auto&) {}, nullptr},
+      {"vertex >= n", false,
+       [&](auto& p) { put(p, kVertexAt, static_cast<std::uint32_t>(kN)); },
+       "outside its sender shard"},
+      {"vertex outside the named sender shard", false,
+       [&](auto& p) { put(p, kVertexAt, 4); }, "outside its sender shard"},
+      {"vertex in the destination's own range", false,
+       [&](auto& p) {
+         put(p, kShardAt, 2);
+         put(p, kVertexAt, 8);
+       },
+       "sender shard of this worker"},
+      {"vertex with no neighbor on the destination", false,
+       [&](auto& p) { put(p, kVertexAt, 1); }, "no receiver on this worker"},
+      {"length the payload cannot hold", false,
+       [&](auto& p) { p[kLenAt] = 100; }, "truncated"},
+      {"per-slot entry whose sender is outside the named shard", true,
+       [&](auto& p) { put(p, kShardAt, 1); }, "outside its sender shard"},
+  };
+  for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(dist::backend_name(backend)) + ": " + c.what);
+      sim::Runtime rt(g, 4, /*inline_shards=*/true);
+      DistConfig cfg;
+      cfg.workers = 2;
+      cfg.backend = backend;
+      int relayed = 0;
+      cfg.tamper_msgs = [&](std::vector<std::uint8_t>& payload) {
+        ++relayed;
+        c.tamper(payload);
+      };
+      DistSession session(rt, cfg);
+      HubCall program(kN, /*at=*/2, c.per_port);
+      try {
+        rt.run_phase(program, 16);
+        EXPECT_EQ(c.message, nullptr) << "a malformed entry was applied";
+        EXPECT_EQ(program.heard()[8], program.heard()[15]);
+        EXPECT_NE(program.heard()[8], 0);
+      } catch (const corruption_error& e) {
+        ASSERT_NE(c.message, nullptr) << e.what();
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+            << e.what();
+      } catch (const invariant_error& e) {
+        ASSERT_NE(c.message, nullptr) << e.what();
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(relayed, 1);
+    }
+    expect_no_zombie_children();
+  }
+}
+
 TEST(Wire, ChecksumMatchesCheckpointIdiom) {
   // checksum64 is the shared fold: order-dependent, seed-dependent.
   const std::vector<std::uint8_t> a = {1, 2, 3, 4};
@@ -457,11 +625,11 @@ TEST(DistIdentity, DeclaredCongestWordsMatchRunStatsTotals) {
     std::uint64_t wire_bytes;
     std::uint64_t frames;
   };
-  const std::vector<Pinned> pinned = {{"h-partition", 8468, 32},
+  const std::vector<Pinned> pinned = {{"h-partition", 4152, 32},
                                       {"linial", 1314, 8},
-                                      {"kw-reduce", 36056, 270},
-                                      {"final-orient", 7072, 16},
-                                      {"greedy-by-orientation", 18364, 84}};
+                                      {"kw-reduce", 27110, 270},
+                                      {"final-orient", 3424, 16},
+                                      {"greedy-by-orientation", 12696, 84}};
   std::uint64_t declared_words = 0;
   std::uint64_t declared_messages = 0;
   std::size_t seen = 0;
@@ -650,6 +818,102 @@ TEST(DistIdentity, WideLocalPayloadsCrossBothBackendsIntact) {
         << "fork and loopback must encode identical wire traffic";
     EXPECT_EQ(per_backend[0].frames, per_backend[1].frames);
   }
+}
+
+TEST(DistIdentity, HubBroadcastCrossesOncePerDestinationWhateverItsFanIn) {
+  // The hub on worker 0, its k leaves on worker 1. A broadcast crosses as
+  // one entry whatever k is; a send per port crosses as one entry per
+  // remote edge.
+  for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+    SCOPED_TRACE(dist::backend_name(backend));
+    for (const bool per_port : {false, true}) {
+      std::vector<std::uint64_t> msgs_bytes;
+      for (const V k : {4, 64}) {
+        SCOPED_TRACE((per_port ? "per-port k=" : "broadcast k=") +
+                     std::to_string(k));
+        std::vector<V> leaves;
+        for (V v = k; v < 2 * k; ++v) leaves.push_back(v);
+        const Graph g = hub_graph(2 * k, leaves);
+        sim::Runtime rt(g, 2, /*inline_shards=*/true);
+        DistConfig cfg;
+        cfg.workers = 2;
+        cfg.backend = backend;
+        DistSession session(rt, cfg);
+        HubCall program(g.num_vertices(), /*at=*/1, per_port);
+        EXPECT_EQ(rt.run_phase(program, 16).messages,
+                  static_cast<std::uint64_t>(k));
+        EXPECT_NE(program.heard()[static_cast<std::size_t>(2 * k - 1)], 0);
+        msgs_bytes.push_back(only_phase_msgs_bytes(session));
+      }
+      // One frame, relayed: two hops.
+      const std::uint64_t entries_at_4 = per_port ? 4 : 1;
+      EXPECT_EQ(msgs_bytes[0],
+                2 * (kOneHubEntryFrame + (entries_at_4 - 1) * kHubEntry));
+      EXPECT_EQ(msgs_bytes[1] - msgs_bytes[0],
+                per_port ? 2 * (64 - 4) * kHubEntry : 0);
+    }
+    expect_no_zombie_children();
+  }
+}
+
+TEST(DistIdentity, StarSplitAcrossTwoWorkersWakesSleepersAndMatchesReference) {
+  // Three workers of 8 vertices each. The hub (0) has two local leaves, and
+  // its remote leaves are a run in the middle of its row on worker 1 and a
+  // run at its end on worker 2; two leaf-leaf edges shift port numbers. The
+  // leaves sleep until mail, so a fork worker's leaves wake only through
+  // the mail stamps its own apply_msgs writes into its private arena.
+  const std::vector<V> leaves = {1, 2, 9, 11, 12, 15, 16, 17, 20, 23};
+  const Graph g = hub_graph(24, leaves, {{9, 16}, {2, 20}});
+  for (const bool per_port : {false, true}) {
+    SCOPED_TRACE(per_port ? "per-port" : "broadcast");
+    dvc_test::ReferenceSession ref(g);
+    HubCall want_program(g.num_vertices(), /*at=*/3, per_port);
+    const sim::RunStats want = ref.runtime().run_phase(want_program, 16);
+    ASSERT_EQ(want.messages, leaves.size());
+    for (const Backend backend : {Backend::kLoopback, Backend::kFork}) {
+      SCOPED_TRACE(dist::backend_name(backend));
+      sim::Runtime rt(g, 3, /*inline_shards=*/true);
+      DistConfig cfg;
+      cfg.workers = 3;
+      cfg.backend = backend;
+      DistSession session(rt, cfg);
+      HubCall program(g.num_vertices(), /*at=*/3, per_port);
+      EXPECT_TRUE(rt.run_phase(program, 16) == want);
+      EXPECT_EQ(program.heard(), want_program.heard());
+      // Two frames (to workers 1 and 2), each relayed: four hops. A
+      // broadcast is one entry per frame; sends per port are one entry per
+      // remote leaf, four per frame.
+      const std::uint64_t per_frame =
+          kOneHubEntryFrame + (per_port ? 3 * kHubEntry : 0);
+      EXPECT_EQ(only_phase_msgs_bytes(session), 4 * per_frame);
+    }
+    expect_no_zombie_children();
+  }
+}
+
+TEST(DistIdentity, FaultArmedPhaseNeverReachesTheWire) {
+  // Fault-armed phases keep every message in its own per-edge cell for the
+  // injector, and are never offered to the transport: under a DistSession
+  // the phase runs on the coordinator, records no wire metrics and crosses
+  // no wire.
+  const std::vector<V> leaves = {1, 2, 9, 11, 12, 15, 16, 17, 20, 23};
+  const Graph g = hub_graph(24, leaves);
+  dvc_test::ReferenceSession ref(g);
+  HubCall want_program(g.num_vertices(), /*at=*/3, /*per_port=*/false);
+  const sim::RunStats want = ref.runtime().run_phase(want_program, 16);
+  sim::Runtime rt(g, 3, /*inline_shards=*/true);
+  DistConfig cfg;
+  cfg.workers = 3;
+  cfg.backend = Backend::kLoopback;
+  DistSession session(rt, cfg);
+  sim::FaultPlan plan;
+  plan.scheduled.push_back({sim::FaultKind::kShardFailure, /*phase=*/99});
+  sim::ScopedFaultPlan faults(rt, plan);
+  HubCall program(g.num_vertices(), /*at=*/3, /*per_port=*/false);
+  EXPECT_TRUE(rt.run_phase(program, 16) == want);
+  EXPECT_EQ(program.heard(), want_program.heard());
+  EXPECT_TRUE(session.metrics().empty()) << "the phase was offered";
+  EXPECT_EQ(session.totals().wire_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------

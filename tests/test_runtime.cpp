@@ -966,9 +966,13 @@ TEST(BroadcastCell, MixedBroadcastAndPerPortRoundsMatchTheReference) {
     }
   };
   bcast::for_each_session(g, expect_matches);
-  for (const dist::Backend backend :
-       {dist::Backend::kLoopback, dist::Backend::kFork}) {
-    for (const int workers : {2, 3}) {
+  // Distributed, broadcasts cross as broadcast entries and the per-port
+  // sends as per-slot entries, in the same frames; fork must put the same
+  // bytes on the wire as loopback.
+  for (const int workers : {2, 3}) {
+    std::vector<dist::PhaseWireMetrics> loopback;
+    for (const dist::Backend backend :
+         {dist::Backend::kLoopback, dist::Backend::kFork}) {
       SCOPED_TRACE(std::string(dist::backend_name(backend)) +
                    " workers=" + std::to_string(workers));
       sim::Runtime rt(g, /*shards=*/8, /*inline_shards=*/true);
@@ -977,9 +981,18 @@ TEST(BroadcastCell, MixedBroadcastAndPerPortRoundsMatchTheReference) {
       cfg.backend = backend;
       dist::DistSession session(rt, cfg);
       expect_matches(rt);
-      ASSERT_EQ(session.metrics().size(), std::size(phases));
-      EXPECT_TRUE(session.metrics()[0].distributed);
-      EXPECT_GT(session.metrics()[0].wire_bytes, 0u);
+      const auto& metrics = session.metrics();
+      ASSERT_EQ(metrics.size(), std::size(phases));
+      EXPECT_TRUE(metrics[0].distributed);
+      EXPECT_GT(metrics[0].msgs_bytes, 0u);
+      if (backend == dist::Backend::kLoopback) {
+        loopback = metrics;
+        continue;
+      }
+      for (std::size_t i = 0; i < metrics.size(); ++i) {
+        EXPECT_EQ(metrics[i].wire_bytes, loopback[i].wire_bytes);
+        EXPECT_EQ(metrics[i].msgs_bytes, loopback[i].msgs_bytes);
+      }
     }
   }
 }
